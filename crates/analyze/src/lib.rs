@@ -6,7 +6,7 @@
 //!
 //! | id | rule | protects |
 //! |----|------|----------|
-//! | R1 | precision hygiene: no raw `.sqrt()`/`.powi()`/`as f32`/`as f64` in `crates/core/src/kernels/*` outside the blessed `dist_value`/`dist_value_lanes`/`gemm_accumulate` call sites | every rounding decision happens in one audited expression |
+//! | R1 | precision hygiene: no raw `.sqrt()`/`.powi()`/`as f32`/`as f64` in `crates/core/src/kernels/*` outside the blessed `dist_value`/`dist_value_lanes`/`gemm_accumulate` call sites, and no `.powi(` in the software-float formats (`crates/precision/src/{f16,bf16,tf32,flex,real}.rs`) | every rounding decision happens in one audited expression; widening never calls a runtime-exponent libm routine |
 //! | R2 | determinism: no `HashMap`/`HashSet` in merge/profile/serialization paths | iteration order never reaches results |
 //! | R3 | atomic-ordering audit: every `Ordering::Relaxed` carries a `// relaxed-ok:` justification | each relaxed access is argued not to order data |
 //! | R4 | panic hygiene: no `unwrap()`/`expect()`/`panic!` in service request-path modules | a bad request cannot take the worker down |
@@ -98,8 +98,22 @@ pub const RULES: [RuleInfo; 7] = [
 /// Functions in `crates/core/src/kernels/` allowed to perform raw float
 /// arithmetic: the audited distance expression, its lane form, and the
 /// simulated-MMA accumulation choke point of the tensor-core GEMM path
-/// (all narrowing there is delegated to `mdmp_gpu_sim::mma_dot`).
+/// (all narrowing there is delegated to `mdmp_gpu_sim::round_operands`
+/// and `mdmp_gpu_sim::mma_dot_rounded`).
 const BLESSED_KERNEL_FNS: [&str; 3] = ["dist_value", "dist_value_lanes", "gemm_accumulate"];
+
+/// The software-float format files (R1's second scope): their widening
+/// and rounding run once or more per arithmetic operation, so a `.powi(`
+/// there is a runtime-exponent libm call on the hot path (it pays the
+/// dirty-upper-AVX transition penalty on the worker-pool threads).
+/// Build the bit pattern instead.
+const POWI_FREE_FILES: [&str; 5] = [
+    "crates/precision/src/f16.rs",
+    "crates/precision/src/bf16.rs",
+    "crates/precision/src/tf32.rs",
+    "crates/precision/src/flex.rs",
+    "crates/precision/src/real.rs",
+];
 
 /// Service and cluster modules on the request path (R4 scope): code a
 /// remote client's request flows through must return typed errors, never
@@ -579,6 +593,7 @@ fn check_file(rel: &str, text: &str, out: &mut Vec<Violation>) {
     let lines = scan_lines(text);
     let vendored = rel.starts_with("vendor/");
     let in_kernels = !vendored && rel.starts_with("crates/core/src/kernels/");
+    let powi_free = POWI_FREE_FILES.contains(&rel);
     let r2_scope = !vendored
         && (rel.starts_with("crates/core/src/")
             || rel.starts_with("crates/service/src/")
@@ -625,6 +640,17 @@ fn check_file(rel: &str, text: &str, out: &mut Vec<Violation>) {
                     }
                 }
             }
+        }
+
+        // R1: no runtime-exponent `powi` in the software-float formats.
+        if powi_free && m.contains(".powi(") && !annotated(&lines, idx, "precision-ok:") {
+            push(
+                out,
+                "R1",
+                "`.powi(` in a software-float format: a runtime-exponent libm call on the \
+                 per-operation path; build the bit pattern instead"
+                    .to_string(),
+            );
         }
 
         // R2: HashMap/HashSet in determinism-sensitive crates.
@@ -835,6 +861,9 @@ fn scope_warnings(
             ));
         }
     };
+    for rel in POWI_FREE_FILES {
+        stale_file("POWI_FREE_FILES (R1)", rel);
+    }
     for rel in REQUEST_PATH_MODULES {
         stale_file("REQUEST_PATH_MODULES (R4)", rel);
     }

@@ -119,6 +119,25 @@ fn r1_fires_on_unblessed_gemm_accumulator() {
     assert_flags_in("r1-gemm", "R1");
 }
 
+/// A `.powi(` in a software-float format file is the runtime-exponent
+/// libm call that made FP8 widening slow on the worker pool; R1 flags it
+/// outside `#[cfg(test)]`.
+#[test]
+fn r1_fires_on_powi_in_a_precision_format() {
+    assert_flags_in("r1-precision-powi", "R1");
+    let out = run_analyze(&fixture_root("r1-precision-powi"), &["--json"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("crates/precision/src/flex.rs"),
+        "finding must point at the format file; stdout:\n{stdout}"
+    );
+    assert_eq!(
+        stdout.matches("\"rule\": \"R1\"").count(),
+        1,
+        "the test-module powi must stay exempt; stdout:\n{stdout}"
+    );
+}
+
 /// PR 10: lock-order inversion across two call chains. The diagnostic
 /// must carry both directed acquisition chains, each at least two hops
 /// (acquire → call → acquire), and trip nothing else.

@@ -23,15 +23,21 @@
 //! worker-count or node-count dependence, which is what keeps the TC modes
 //! bit-reproducible under the existing reorder-buffer and cluster merges.
 //!
-//! All narrowing and accumulation happens inside [`gemm_accumulate`], the
-//! blessed precision-hygiene choke point wrapping the simulated MMA unit
-//! ([`mdmp_gpu_sim::mma_dot`]): operands are rounded to the TC input
-//! format per multiply, products are exact in FP32, and chunks of
-//! `chunk_k` products are summed in FP32 before joining the accumulator.
+//! All narrowing and accumulation happens inside the simulated MMA unit's
+//! helpers: [`mdmp_gpu_sim::round_operands`] rounds each panel operand to
+//! the TC input format once per row — the `df_q`/`dg_q` row slices and the
+//! ≤ `chunk_k` `df_r`/`dg_r` panel values, each reused by up to
+//! `2·chunk_k` products — into scratch local to each dimension's task, and
+//! [`gemm_accumulate`], the blessed precision-hygiene choke point, hands
+//! the staged operands to [`mdmp_gpu_sim::mma_dot_rounded`]: products are
+//! exact in FP32, and chunks of `chunk_k` products are summed in FP32
+//! before joining the accumulator. Rounding is a pure function, so the
+//! result is bit-identical to rounding per product
+//! ([`mdmp_gpu_sim::mma_dot`], the tests' oracle).
 
 use crate::kernels::dist::{dist_value, DistParams};
 use crate::precalc::Stats;
-use mdmp_gpu_sim::{KernelClass, KernelCost, MmaConfig};
+use mdmp_gpu_sim::{round_operands, KernelClass, KernelCost, MmaConfig};
 use mdmp_precision::{Format, Real};
 use rayon::prelude::*;
 
@@ -39,13 +45,14 @@ use rayon::prelude::*;
 /// (one `df·dg` pair per unrolled step, `chunk_k` steps per panel).
 pub const MAX_PANEL_OPERANDS: usize = 32;
 
-/// One simulated-MMA accumulation: `base + Σ round(a)·round(b)` with FP32
-/// chunked accumulation. This is the **only** place the TC modes perform
-/// distance-matrix arithmetic outside the shared [`dist_value`] expression,
-/// and it is allow-listed by mdmp-analyze rule R1 accordingly.
+/// One simulated-MMA accumulation: `base + Σ a·b` over operands already
+/// rounded to the TC input format, with FP32 chunked accumulation. This is
+/// the **only** place the TC modes perform distance-matrix arithmetic
+/// outside the shared [`dist_value`] expression, and it is allow-listed by
+/// mdmp-analyze rule R1 accordingly.
 #[inline(always)]
-pub fn gemm_accumulate<T: Real>(base: T, a: &[f64], b: &[f64], mma: &MmaConfig) -> T {
-    T::from_f64(mdmp_gpu_sim::mma_dot(base.to_f64(), a, b, mma))
+pub fn gemm_accumulate<T: Real>(base: T, a: &[f32], b: &[f32], mma: &MmaConfig) -> T {
+    T::from_f64(mdmp_gpu_sim::mma_dot_rounded(base.to_f64(), a, b, mma))
 }
 
 /// Compute row `i` of the tile's QT and distance planes from panel base row
@@ -85,17 +92,32 @@ pub fn gemm_row<T: Real>(
         .zip(dist.par_chunks_mut(n_q))
         .enumerate()
         .for_each(|(k, (qt_k, dist_k))| {
-            let dfr = &rstats.df[k * n_r..(k + 1) * n_r];
-            let dgr = &rstats.dg[k * n_r..(k + 1) * n_r];
             let inv_r = rstats.inv[k * n_r + i];
-            let dfq = &qstats.df[k * n_q..(k + 1) * n_q];
-            let dgq = &qstats.dg[k * n_q..(k + 1) * n_q];
             let inv_q = &qstats.inv[k * n_q..(k + 1) * n_q];
             let row0_k = &qt_row0[k * n_q..(k + 1) * n_q];
             let col0_k = &qt_col0[k * n_r..(k + 1) * n_r];
             let base_k = &qt_base[k * n_q..(k + 1) * n_q];
-            let mut a = [0.0f64; MAX_PANEL_OPERANDS];
-            let mut b = [0.0f64; MAX_PANEL_OPERANDS];
+            // This dimension's operands, rounded once for the whole row
+            // into task-local scratch: the query-side slices, and the
+            // panel's `t` reference values
+            // `i − t + 1 ..= i`, placed in their fixed product slots for
+            // step `u` (`a[2u]` = df_r[i − u], `b[2u+1]` = dg_r[i − u]).
+            let (mut dfq, mut dgq) = (vec![0.0f32; n_q], vec![0.0f32; n_q]);
+            let mut a = [0.0f32; MAX_PANEL_OPERANDS];
+            let mut b = [0.0f32; MAX_PANEL_OPERANDS];
+            if i > 0 {
+                let (q, r) = (k * n_q..(k + 1) * n_q, k * n_r + i + 1 - t..k * n_r + i + 1);
+                round_operands(&qstats.df[q.clone()], mma.input, &mut dfq);
+                round_operands(&qstats.dg[q], mma.input, &mut dgq);
+                let mut dfr = [0.0f32; MAX_PANEL_OPERANDS / 2];
+                let mut dgr = [0.0f32; MAX_PANEL_OPERANDS / 2];
+                round_operands(&rstats.df[r.clone()], mma.input, &mut dfr[..t]);
+                round_operands(&rstats.dg[r], mma.input, &mut dgr[..t]);
+                for u in 0..t {
+                    a[2 * u] = dfr[t - 1 - u];
+                    b[2 * u + 1] = dgr[t - 1 - u];
+                }
+            }
             for j in 0..n_q {
                 let qt = if i == 0 {
                     row0_k[j]
@@ -110,10 +132,8 @@ pub fn gemm_row<T: Real>(
                         col0_k[i - j]
                     };
                     for u in 0..steps {
-                        a[2 * u] = dfr[i - u].to_f64();
-                        b[2 * u] = dgq[j - u].to_f64();
-                        a[2 * u + 1] = dfq[j - u].to_f64();
-                        b[2 * u + 1] = dgr[i - u].to_f64();
+                        b[2 * u] = dgq[j - u];
+                        a[2 * u + 1] = dfq[j - u];
                     }
                     gemm_accumulate(base, &a[..2 * steps], &b[..2 * steps], mma)
                 };
@@ -164,7 +184,7 @@ mod tests {
     use crate::kernels::dist::dist_row;
     use crate::precalc::compute_stats;
     use mdmp_data::MultiDimSeries;
-    use mdmp_gpu_sim::TimingModel;
+    use mdmp_gpu_sim::{TimingModel, MMA_CHUNK_SIZES};
     use mdmp_precision::PrecisionMode;
 
     fn series(seed: u64, n: usize, d: usize) -> MultiDimSeries {
@@ -178,10 +198,75 @@ mod tests {
         MultiDimSeries::from_dims((0..d).map(|_| (0..n).map(|_| next()).collect()).collect())
     }
 
-    /// Run the full tile with `gemm_row` and with `dist_row`, returning
-    /// both distance-plane sequences.
-    #[allow(clippy::type_complexity)]
-    fn run_both(panel: usize, input: Format) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
+    /// Per-row planes of one full-tile run.
+    struct Runs {
+        /// `gemm_row` distance planes.
+        gemm: Vec<Vec<f32>>,
+        /// `gemm_row` QT planes.
+        gemm_qt: Vec<Vec<f32>>,
+        /// Per-product-rounding oracle: distance and QT planes.
+        oracle: Vec<Vec<f32>>,
+        oracle_qt: Vec<Vec<f32>>,
+        /// Streaming `dist_row` distance planes.
+        stream: Vec<Vec<f32>>,
+    }
+
+    /// `gemm_row` as first written: every operand of every product goes
+    /// through [`mdmp_gpu_sim::mma_dot`]'s own rounding. The oracle the
+    /// once-per-row staging must match bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn oracle_row(
+        i: usize,
+        base_idx: usize,
+        qt_row0: &[f32],
+        qt_col0: &[f32],
+        qt_base: &[f32],
+        qt_next: &mut [f32],
+        dist: &mut [f32],
+        rstats: &Stats<f32>,
+        qstats: &Stats<f32>,
+        params: &DistParams<f32>,
+        mma: &MmaConfig,
+    ) {
+        let (n_r, n_q, t) = (rstats.n, qstats.n, i - base_idx);
+        for k in 0..rstats.d {
+            let (r, q) = (k * n_r, k * n_q);
+            for j in 0..n_q {
+                let qt = if i == 0 {
+                    qt_row0[q + j]
+                } else {
+                    let steps = t.min(j);
+                    let base = if steps == t {
+                        qt_base[q + j - t]
+                    } else {
+                        qt_col0[r + i - j]
+                    };
+                    let (mut a, mut b) = (Vec::new(), Vec::new());
+                    for u in 0..steps {
+                        a.extend([rstats.df[r + i - u] as f64, qstats.df[q + j - u] as f64]);
+                        b.extend([qstats.dg[q + j - u] as f64, rstats.dg[r + i - u] as f64]);
+                    }
+                    mdmp_gpu_sim::mma_dot(base as f64, &a, &b, mma) as f32
+                };
+                qt_next[q + j] = qt;
+                let excluded = params
+                    .exclusion
+                    .is_some_and(|e| (params.row_offset + i).abs_diff(params.col_offset + j) < e);
+                dist[q + j] = dist_value(
+                    qt,
+                    rstats.inv[r + i],
+                    qstats.inv[q + j],
+                    params.two_m,
+                    params.clamp,
+                    excluded,
+                );
+            }
+        }
+    }
+
+    /// Run the full tile with `gemm_row`, with the per-product oracle and
+    /// with `dist_row`.
+    fn run_both(panel: usize, input: Format) -> Runs {
         let m = 8;
         let (n, d) = (40, 3);
         let reference = series(11, n, d);
@@ -218,34 +303,51 @@ mod tests {
         }
         let mma = MmaConfig::new(input).with_chunk_k(panel);
         let plane = dims * n_q;
-        let (mut gemm_planes, mut stream_planes) = (Vec::new(), Vec::new());
-        // GEMM path: panel-restarted.
-        let mut qt_base = vec![0.0f32; plane];
-        let mut qt_next = vec![0.0f32; plane];
-        let mut dist = vec![0.0f32; plane];
-        let mut base_idx = 0usize;
-        for i in 0..n_r {
-            gemm_row(
-                i,
-                base_idx,
-                &qt_row0,
-                &qt_col0,
-                &qt_base,
-                &mut qt_next,
-                &mut dist,
-                &rstats,
-                &qstats,
-                &params,
-                &mma,
-            );
-            gemm_planes.push(dist.clone());
-            if i - base_idx == mma.chunk_k || i == 0 {
-                qt_base.copy_from_slice(&qt_next);
-                base_idx = i;
+        let mut runs = Runs {
+            gemm: Vec::new(),
+            gemm_qt: Vec::new(),
+            oracle: Vec::new(),
+            oracle_qt: Vec::new(),
+            stream: Vec::new(),
+        };
+        // GEMM path (staged, then the oracle): panel-restarted.
+        for oracle in [false, true] {
+            let row = if oracle { oracle_row } else { gemm_row::<f32> };
+            let mut qt_base = vec![0.0f32; plane];
+            let mut qt_next = vec![0.0f32; plane];
+            let mut dist = vec![0.0f32; plane];
+            let mut base_idx = 0usize;
+            for i in 0..n_r {
+                row(
+                    i,
+                    base_idx,
+                    &qt_row0,
+                    &qt_col0,
+                    &qt_base,
+                    &mut qt_next,
+                    &mut dist,
+                    &rstats,
+                    &qstats,
+                    &params,
+                    &mma,
+                );
+                let (planes, qts) = if oracle {
+                    (&mut runs.oracle, &mut runs.oracle_qt)
+                } else {
+                    (&mut runs.gemm, &mut runs.gemm_qt)
+                };
+                planes.push(dist.clone());
+                qts.push(qt_next.clone());
+                if i - base_idx == mma.chunk_k || i == 0 {
+                    qt_base.copy_from_slice(&qt_next);
+                    base_idx = i;
+                }
             }
         }
         // Streaming path for comparison.
         let mut qt_prev = vec![0.0f32; plane];
+        let mut qt_next = vec![0.0f32; plane];
+        let mut dist = vec![0.0f32; plane];
         for i in 0..n_r {
             dist_row(
                 i,
@@ -258,10 +360,39 @@ mod tests {
                 &qstats,
                 &params,
             );
-            stream_planes.push(dist.clone());
+            runs.stream.push(dist.clone());
             std::mem::swap(&mut qt_prev, &mut qt_next);
         }
-        (gemm_planes, stream_planes)
+        runs
+    }
+
+    #[test]
+    fn staged_operands_match_the_per_product_oracle() {
+        // Every TC input format × chunk width, over a 40-row tile: rows of
+        // every panel position, including the first panel and the columns
+        // j < t that chain into the precalculated first column.
+        for input in [Format::Fp16, Format::Bf16, Format::Tf32] {
+            for k in MMA_CHUNK_SIZES {
+                let runs = run_both(k, input);
+                for (i, (g, o)) in runs.gemm_qt.iter().zip(&runs.oracle_qt).enumerate() {
+                    let (g, o): (Vec<u32>, Vec<u32>) = (
+                        g.iter().map(|v| v.to_bits()).collect(),
+                        o.iter().map(|v| v.to_bits()).collect(),
+                    );
+                    assert_eq!(g, o, "{input} k={k}: QT row {i} differs from the oracle");
+                }
+                for (i, (g, o)) in runs.gemm.iter().zip(&runs.oracle).enumerate() {
+                    let (g, o): (Vec<u32>, Vec<u32>) = (
+                        g.iter().map(|v| v.to_bits()).collect(),
+                        o.iter().map(|v| v.to_bits()).collect(),
+                    );
+                    assert_eq!(
+                        g, o,
+                        "{input} k={k}: distance row {i} differs from the oracle"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -269,7 +400,7 @@ mod tests {
         // The GEMM path rounds operands to the TC input format, so it is
         // NOT bit-identical to streaming FP32 — but with ≤ P unrolled
         // steps its distances must stay within a few input-ulps of it.
-        let (gemm, stream) = run_both(8, Format::Fp16);
+        let Runs { gemm, stream, .. } = run_both(8, Format::Fp16);
         let mut max_rel = 0.0f64;
         for (g, s) in gemm.iter().zip(stream.iter()) {
             for (a, b) in g.iter().zip(s.iter()) {
@@ -294,18 +425,18 @@ mod tests {
             }
             worst
         };
-        let (gemm_tf32, _) = run_both(8, Format::Tf32);
-        let (gemm_bf16, _) = run_both(8, Format::Bf16);
+        let gemm_tf32 = run_both(8, Format::Tf32).gemm;
+        let gemm_bf16 = run_both(8, Format::Bf16).gemm;
         assert!(rel(&gemm_tf32) < 0.2);
         assert!(rel(&gemm_bf16) > rel(&gemm_tf32), "BF16 rounds harder");
     }
 
     #[test]
     fn gemm_is_deterministic_and_chunk_sensitive() {
-        let (a, _) = run_both(8, Format::Fp16);
-        let (b, _) = run_both(8, Format::Fp16);
+        let a = run_both(8, Format::Fp16).gemm;
+        let b = run_both(8, Format::Fp16).gemm;
         assert_eq!(a, b, "same chunk width must be bit-identical");
-        let (c, _) = run_both(4, Format::Fp16);
+        let c = run_both(4, Format::Fp16).gemm;
         assert_ne!(a, c, "chunk width is part of the numerical contract");
     }
 

@@ -45,7 +45,10 @@ pub use device::{DeviceKind, DeviceSpec, LaunchConfig, TcThroughput};
 pub use executor::{GpuSystem, SimDevice};
 pub use health::DeviceHealth;
 pub use memory::{AllocError, MemoryTracker};
-pub use mma::{default_chunk_k, mma_dot, round_operand, MmaConfig, MMA_CHUNK_SIZES};
+pub use mma::{
+    default_chunk_k, mma_dot, mma_dot_rounded, round_operand, round_operands, MmaConfig,
+    MMA_CHUNK_SIZES,
+};
 pub use profiler::UtilizationReport;
 pub use simt::{run_block, run_grid, BitonicScanKernel, BlockKernel, FiberState, ThreadOrder};
 pub use stream::{DeviceTimeline, Op, OpRecord};

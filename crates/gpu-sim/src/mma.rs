@@ -24,7 +24,7 @@
 //! model's fragment-traffic term (operands are staged through shared-memory
 //! fragments before they reach the unit, as in WMMA/WGMMA).
 
-use mdmp_precision::{Bf16, Format, Half, Tf32};
+use mdmp_precision::{Bf16, Format, Half, Real, Tf32};
 
 /// Chunk widths the simulated unit supports (hardware dot-product sizes).
 pub const MMA_CHUNK_SIZES: [usize; 3] = [4, 8, 16];
@@ -79,20 +79,35 @@ pub fn default_chunk_k(input: Format) -> usize {
     }
 }
 
-/// Round a value (carried in f64) to the MMA input format and back.
+/// Round a value (carried in f64) to the MMA input format, returned as
+/// the binary32 the unit multiplies.
 ///
-/// Every supported input format embeds exactly in binary32 (and hence in
-/// f64), so the round trip loses nothing beyond the format's own rounding.
+/// Every supported input format embeds exactly in binary32, so the result
+/// loses nothing beyond the format's own rounding.
 ///
 /// # Panics
 /// Panics if `fmt` is not a tensor-core input format.
 #[inline]
-pub fn round_operand(x: f64, fmt: Format) -> f64 {
+pub fn round_operand(x: f64, fmt: Format) -> f32 {
     match fmt {
-        Format::Fp16 => Half::from_f64(x).to_f64(),
-        Format::Bf16 => Bf16::from_f64(x).to_f64(),
-        Format::Tf32 => Tf32::from_f64(x).to_f64(),
+        Format::Fp16 => Half::from_f64(x).to_f32(),
+        Format::Bf16 => Bf16::from_f64(x).to_f32(),
+        Format::Tf32 => Tf32::from_f64(x).to_f32(),
         other => panic!("{other} is not a tensor-core input format"),
+    }
+}
+
+/// Round every value of `src` to the MMA input format into `dst` — the
+/// once-per-panel operand staging that lets [`mma_dot_rounded`] skip the
+/// per-product rounding of [`mma_dot`].
+///
+/// # Panics
+/// Panics if the slices differ in length or `fmt` is not a tensor-core
+/// input format.
+pub fn round_operands<T: Real>(src: &[T], fmt: Format, dst: &mut [f32]) {
+    assert_eq!(src.len(), dst.len(), "operand staging slices must match");
+    for (d, &x) in dst.iter_mut().zip(src) {
+        *d = round_operand(x.to_f64(), fmt);
     }
 }
 
@@ -105,6 +120,11 @@ pub fn round_operand(x: f64, fmt: Format) -> f64 {
 /// therefore the exact result bits — is a deterministic function of
 /// `(operands, input format, chunk_k)` alone.
 ///
+/// This is the per-product oracle: it rounds both operands of every
+/// product. Kernels that reuse operands stage them once with
+/// [`round_operands`] and call [`mma_dot_rounded`], which gives the same
+/// bits because rounding is a pure function.
+///
 /// # Panics
 /// Panics if `a` and `b` differ in length.
 #[inline]
@@ -115,7 +135,28 @@ pub fn mma_dot(base: f64, a: &[f64], b: &[f64], cfg: &MmaConfig) -> f64 {
         let mut chunk = 0.0f32;
         for (&x, &y) in ca.iter().zip(cb.iter()) {
             // Product of two ≤11-bit significands is exact in binary32.
-            chunk += (round_operand(x, cfg.input) as f32) * (round_operand(y, cfg.input) as f32);
+            chunk += round_operand(x, cfg.input) * round_operand(y, cfg.input);
+        }
+        acc += chunk;
+    }
+    acc as f64
+}
+
+/// [`mma_dot`] on operands already rounded to `cfg.input` (see
+/// [`round_operands`]): the same chunked FP32 accumulation without the
+/// per-product rounding. Operands that are not values of the input format
+/// are multiplied as they are.
+///
+/// # Panics
+/// Panics if `a` and `b` differ in length.
+#[inline]
+pub fn mma_dot_rounded(base: f64, a: &[f32], b: &[f32], cfg: &MmaConfig) -> f64 {
+    assert_eq!(a.len(), b.len(), "MMA operand vectors must match");
+    let mut acc = base as f32;
+    for (ca, cb) in a.chunks(cfg.chunk_k).zip(b.chunks(cfg.chunk_k)) {
+        let mut chunk = 0.0f32;
+        for (&x, &y) in ca.iter().zip(cb.iter()) {
+            chunk += x * y;
         }
         acc += chunk;
     }
@@ -201,6 +242,26 @@ mod tests {
         // association order that is allowed (and here does) change them.
         assert_eq!(r8a.to_bits(), r8b.to_bits());
         assert_ne!(r8a.to_bits(), r4.to_bits());
+    }
+
+    #[test]
+    fn pre_rounded_dot_equals_the_per_product_oracle() {
+        for seed in 0..24u64 {
+            let n = 1 + (seed as usize % 32);
+            let (a, b) = panel(seed, n);
+            for fmt in [Format::Fp16, Format::Bf16, Format::Tf32] {
+                let (mut ra, mut rb) = (vec![0.0f32; n], vec![0.0f32; n]);
+                round_operands(&a, fmt, &mut ra);
+                round_operands(&b, fmt, &mut rb);
+                for k in MMA_CHUNK_SIZES {
+                    let cfg = MmaConfig::new(fmt).with_chunk_k(k);
+                    let base = a[0] * 3.0;
+                    let oracle = mma_dot(base, &a, &b, &cfg);
+                    let staged = mma_dot_rounded(base, &ra, &rb, &cfg);
+                    assert_eq!(oracle.to_bits(), staged.to_bits(), "{fmt} k={k} n={n}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,10 +3,26 @@
 //! reduced-precision modes.
 //!
 //! bfloat16 is exactly the upper 16 bits of an IEEE binary32, so conversion
-//! from `f32` is a round-to-nearest-even truncation of the low 16 bits and
-//! widening is a zero-extension. Arithmetic follows the same contract as
-//! [`crate::Half`]: compute in `f64`, round once to the storage format.
+//! from `f32` is a round-to-nearest-even truncation of the low 16 bits —
+//! the crate's shared rounding core ([`crate::Flex`]) specialised to
+//! `E8M7`, where no rebias and no subnormal step are needed; a test pins it
+//! to `Flex::<8, 7>::from_f32` — and widening is a zero-extension.
+//!
+//! * **Arithmetic** (`+ − × ÷`, `sqrt`) runs in `f32` and is rounded once.
+//!   binary32 carries `24 ≥ 2·8 + 2` significand bits (Figueroa's bound for
+//!   innocuous double rounding), so results are correctly rounded wherever
+//!   the binary32 result is normal. Below 2⁻¹²⁶ binary32 keeps fewer bits
+//!   and a quotient there may round twice, as a binary32 register would;
+//!   this is the same result the former `f64` path produced.
+//! * **`f64` inputs** ([`Bf16::from_f64`]) are rounded to binary32 *to odd*
+//!   first, then to bfloat16. A plain `f64 → f32` cast would round twice to
+//!   nearest and can land on a false tie: `1 + 2⁻⁸ + 2⁻³⁰` must round up to
+//!   `1 + 2⁻⁷`, not down to `1`.
+//! * **[`Bf16::mul_add`]** stays in `f64` with one final rounding; a
+//!   binary32 FMA would round `a·b + c` to 24 bits first and could lose a
+//!   tiny `c` into a false tie.
 
+use crate::flex::f64_to_f32_odd;
 use core::cmp::Ordering;
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -53,17 +69,11 @@ impl Bf16 {
         self.0
     }
 
-    /// Round an `f64` to the nearest bfloat16.
-    ///
-    /// Goes through `f32` first; the double rounding is harmless because a
-    /// 53→24→8 bit chain can only disagree with direct 53→8 rounding when the
-    /// value lies within 2⁻²⁴ ulp of an 8-bit rounding boundary *and* the
-    /// first rounding crosses it — impossible since 24-bit rounding moves a
-    /// value by at most 2⁻²⁵ of its magnitude while 8-bit boundaries are
-    /// 2⁻⁹ apart.
+    /// Round an `f64` to the nearest bfloat16: to odd at binary32, then
+    /// round-to-nearest-even (module docs).
     #[inline]
     pub fn from_f64(x: f64) -> Bf16 {
-        Bf16(f32_to_bf16_bits(x as f32))
+        Bf16(f32_to_bf16_bits(f64_to_f32_odd(x)))
     }
 
     /// Round an `f32` to the nearest bfloat16.
@@ -102,13 +112,14 @@ impl Bf16 {
         Bf16(self.0 & 0x7FFF)
     }
 
-    /// Square root.
+    /// Square root, correctly rounded (in `f32`, module docs).
     #[inline]
     pub fn sqrt(self) -> Bf16 {
-        Bf16::from_f64(self.to_f64().sqrt())
+        Bf16::from_f32(self.to_f32().sqrt())
     }
 
-    /// Fused multiply-add with a single final rounding.
+    /// Fused multiply-add with a single final rounding, computed in `f64`
+    /// (module docs).
     #[inline]
     pub fn mul_add(self, a: Bf16, b: Bf16) -> Bf16 {
         Bf16::from_f64(self.to_f64().mul_add(a.to_f64(), b.to_f64()))
@@ -166,7 +177,7 @@ macro_rules! bf16_binop {
             type Output = Bf16;
             #[inline]
             fn $method(self, rhs: Bf16) -> Bf16 {
-                Bf16::from_f64(self.to_f64() $op rhs.to_f64())
+                Bf16::from_f32(self.to_f32() $op rhs.to_f32())
             }
         }
         impl $assign_trait for Bf16 {

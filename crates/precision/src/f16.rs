@@ -4,17 +4,27 @@
 //! bits (11 with the implicit leading one). Finite range ±65504, smallest
 //! positive normal 2⁻¹⁴, smallest positive subnormal 2⁻²⁴.
 //!
-//! Every arithmetic operation converts the (binary16-exact) operands to
-//! `f64`, performs the operation there, and rounds the `f64` result back to
-//! binary16 with round-to-nearest-even. For `+`, `-`, `*` the `f64`
-//! intermediate is exact, so the single final rounding makes the operation
-//! correctly rounded — the same contract CUDA's `__hadd`/`__hmul` intrinsics
-//! provide. For `/` and `sqrt` the `f64` intermediate is itself correctly
-//! rounded to 53 bits before the final rounding to 11 bits; the resulting
-//! double rounding can differ from a directly rounded result only when the
-//! 53-bit value sits within 2⁻⁴² ulp of a 11-bit rounding boundary, which is
-//! irrelevant at the error magnitudes this library studies.
+//! Rounding and widening are the crate's shared `f32` core at `E5M10`
+//! ([`crate::Flex`] documents it): [`Half::from_f32`] rounds a binary32
+//! with integer bit tricks, and [`Half::to_f32`] builds the binary32 bit
+//! pattern directly.
+//!
+//! * **Arithmetic** (`+ − × ÷`, `sqrt`, `recip`) runs in `f32` and is
+//!   rounded once, round-to-nearest-even. binary32 has `24 = 2·11 + 2`
+//!   significand bits, exactly Figueroa's bound for innocuous double
+//!   rounding, so every result is the correctly rounded binary16 of the
+//!   exact one — the contract CUDA's `__hadd`/`__hmul`/`__hdiv`/`hsqrt`
+//!   intrinsics provide. Exhaustive tests compare every operand pair with
+//!   a slow `f64` reference.
+//! * **`f64` inputs** ([`Half::from_f64`]) are rounded to binary32 *to odd*
+//!   first, then by the core; that is exact for an 11-bit target.
+//! * **[`Half::mul_add`]** stays in `f64`: a binary32 FMA rounds
+//!   `a·b + c` once to 24 bits, where a tiny `c` can vanish and leave a
+//!   false tie for the final rounding. `f64` holds every finite binary16
+//!   FMA result closely enough that the final rounding is innocuous.
 
+use crate::flex::f64_to_f32_odd;
+use crate::Flex;
 use core::cmp::Ordering;
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -28,89 +38,11 @@ use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAss
 #[repr(transparent)]
 pub struct Half(u16);
 
+/// The rounding core's geometry for binary16.
+type Core = Flex<5, 10>;
+
 const EXP_MASK: u16 = 0x7C00;
 const FRAC_MASK: u16 = 0x03FF;
-
-/// Round a finite or non-finite `f64` to binary16 bits, round-to-nearest-even.
-pub(crate) fn f64_to_f16_bits(x: f64) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 48) & 0x8000) as u16;
-    let exp = ((bits >> 52) & 0x7FF) as i32;
-    let frac = bits & 0x000F_FFFF_FFFF_FFFF;
-
-    if exp == 0x7FF {
-        // NaN propagates as a quiet NaN; infinity keeps its sign.
-        return if frac != 0 {
-            sign | 0x7E00
-        } else {
-            sign | 0x7C00
-        };
-    }
-    let e = exp - 1023; // unbiased exponent; exp==0 (f64 subnormal) maps far below f16 range
-    if exp == 0 {
-        // f64 subnormals are < 2^-1022, far below the smallest f16 subnormal.
-        return sign;
-    }
-    if e > 15 {
-        return sign | 0x7C00; // magnitude >= 2^16 > 65504+ulp/2: overflow to infinity
-    }
-    if e >= -14 {
-        // Normal binary16 candidate: keep 10 fraction bits, RNE on the low 42.
-        let mut m = (frac >> 42) as u16;
-        let rest = frac & ((1u64 << 42) - 1);
-        let halfway = 1u64 << 41;
-        let mut e16 = (e + 15) as u16;
-        if rest > halfway || (rest == halfway && (m & 1) == 1) {
-            m += 1;
-            if m == 0x400 {
-                m = 0;
-                e16 += 1;
-                if e16 >= 31 {
-                    return sign | 0x7C00;
-                }
-            }
-        }
-        return sign | (e16 << 10) | m;
-    }
-    // Subnormal binary16 (or underflow to zero). The target quantum is 2^-24;
-    // round(value / 2^-24) with the full 53-bit significand participating.
-    let sig = (1u64 << 52) | frac;
-    let shift = 28 - e; // e <= -15 => shift >= 43
-    if shift >= 64 {
-        return sign; // below half the smallest subnormal: flush to signed zero
-    }
-    let shift = shift as u32;
-    let mut m = (sig >> shift) as u16;
-    let rest = sig & ((1u64 << shift) - 1);
-    let halfway = 1u64 << (shift - 1);
-    if rest > halfway || (rest == halfway && (m & 1) == 1) {
-        m += 1; // may carry into the smallest normal (0x0400) — a valid encoding
-    }
-    sign | m
-}
-
-/// Widen binary16 bits to `f64` exactly (every binary16 value is
-/// representable in `f64`).
-pub(crate) fn f16_bits_to_f64(h: u16) -> f64 {
-    let sign = ((h >> 15) & 1) as u64;
-    let exp = ((h >> 10) & 0x1F) as u64;
-    let frac = (h & FRAC_MASK) as u64;
-    if exp == 0x1F {
-        let bits = if frac != 0 {
-            (sign << 63) | 0x7FF8_0000_0000_0000 | (frac << 42)
-        } else {
-            (sign << 63) | 0x7FF0_0000_0000_0000
-        };
-        return f64::from_bits(bits);
-    }
-    if exp == 0 {
-        // Zero or subnormal: frac * 2^-24 is exact in f64.
-        let magnitude = (frac as f64) * 2f64.powi(-24);
-        return if sign == 1 { -magnitude } else { magnitude };
-    }
-    let e = exp as i64 - 15 + 1023;
-    f64::from_bits((sign << 63) | ((e as u64) << 52) | (frac << 42))
-}
 
 impl Half {
     /// Positive zero.
@@ -148,28 +80,30 @@ impl Half {
         self.0
     }
 
-    /// Round an `f64` to the nearest binary16 (ties to even).
+    /// Round an `f64` to the nearest binary16 (ties to even): to odd at
+    /// binary32, then the shared core.
     #[inline]
     pub fn from_f64(x: f64) -> Half {
-        Half(f64_to_f16_bits(x))
+        Half::from_f32(f64_to_f32_odd(x))
     }
 
     /// Round an `f32` to the nearest binary16 (ties to even).
     #[inline]
     pub fn from_f32(x: f32) -> Half {
-        Half(f64_to_f16_bits(x as f64))
+        Half(Core::from_f32(x).to_bits() as u16)
     }
 
     /// Widen to `f64` (exact).
     #[inline]
     pub fn to_f64(self) -> f64 {
-        f16_bits_to_f64(self.0)
+        self.to_f32() as f64
     }
 
-    /// Widen to `f32` (exact — every binary16 value fits in `f32`).
+    /// Widen to `f32` (exact — every binary16 value fits in `f32`). NaN
+    /// keeps its sign and payload and is quiet.
     #[inline]
     pub fn to_f32(self) -> f32 {
-        f16_bits_to_f64(self.0) as f32
+        Core::from_bits(self.0 as u32).to_f32()
     }
 
     /// `true` for NaN.
@@ -214,20 +148,21 @@ impl Half {
         Half(self.0 & 0x7FFF)
     }
 
-    /// Square root, correctly rounded through the exact f64 widening.
+    /// Square root, correctly rounded (in `f32`, module docs).
     #[inline]
     pub fn sqrt(self) -> Half {
-        Half::from_f64(self.to_f64().sqrt())
+        Half::from_f32(self.to_f32().sqrt())
     }
 
-    /// Reciprocal `1/x`.
+    /// Reciprocal `1/x`, correctly rounded.
     #[inline]
     pub fn recip(self) -> Half {
-        Half::from_f64(1.0 / self.to_f64())
+        Half::from_f32(1.0 / self.to_f32())
     }
 
     /// Fused multiply-add `self * a + b` with a single final rounding —
-    /// the behaviour of the GPU `HFMA` instruction.
+    /// the behaviour of the GPU `HFMA` instruction. Computed in `f64`
+    /// (module docs).
     #[inline]
     pub fn mul_add(self, a: Half, b: Half) -> Half {
         Half::from_f64(self.to_f64().mul_add(a.to_f64(), b.to_f64()))
@@ -242,7 +177,7 @@ impl Half {
         if other.is_nan() {
             return self;
         }
-        if self.to_f64() <= other.to_f64() {
+        if self.to_f32() <= other.to_f32() {
             self
         } else {
             other
@@ -258,7 +193,7 @@ impl Half {
         if other.is_nan() {
             return self;
         }
-        if self.to_f64() >= other.to_f64() {
+        if self.to_f32() >= other.to_f32() {
             self
         } else {
             other
@@ -298,7 +233,7 @@ macro_rules! half_binop {
             type Output = Half;
             #[inline]
             fn $method(self, rhs: Half) -> Half {
-                Half::from_f64(self.to_f64() $op rhs.to_f64())
+                Half::from_f32(self.to_f32() $op rhs.to_f32())
             }
         }
         impl $assign_trait for Half {
@@ -339,7 +274,7 @@ impl PartialEq for Half {
 impl PartialOrd for Half {
     #[inline]
     fn partial_cmp(&self, other: &Half) -> Option<Ordering> {
-        self.to_f64().partial_cmp(&other.to_f64())
+        self.to_f32().partial_cmp(&other.to_f32())
     }
 }
 

@@ -1,4 +1,5 @@
-//! Parametric ("FlexFloat-style") reduced-precision floats.
+//! Parametric ("FlexFloat-style") reduced-precision floats, and the
+//! binary32 rounding core behind the crate's software formats.
 //!
 //! The paper's related work (§II) cites Fernandez's matrix-profile study
 //! with FlexFloat [18], a software library for transprecision computing
@@ -11,6 +12,36 @@
 //! system as extension studies beyond the paper's BF16/TF32 outlook:
 //! [`Fp8E4M3`] and [`Fp8E5M2`] (IEEE-style variants: unlike the OCP FP8
 //! spec, E4M3 here keeps its all-ones exponent reserved for Inf/NaN).
+//!
+//! ## The rounding core
+//!
+//! [`Flex::from_f32`] rounds a binary32 to the format with integer bit
+//! tricks: rebias the exponent and round-to-nearest-even on the dropped
+//! significand bits (the carry ripples into the exponent and saturates at
+//! infinity); below the format's normal range one binary32 addition of a
+//! constant whose ulp is the subnormal quantum lets the FPU do the
+//! rounding. [`crate::Half::from_f32`] is this core at `E5M10`.
+//! Widening ([`Flex::to_f32`]) builds the binary32 bit pattern directly.
+//!
+//! * **From `f64`.** [`Flex::from_f64`] first rounds the `f64` to binary32
+//!   *to odd* (truncate, then set the last bit if anything was dropped)
+//!   and then calls the core. Rounding to odd at `p + 2 ≤ 24` bits followed
+//!   by round-to-nearest-even at `p` bits equals direct rounding, so the
+//!   result is correctly rounded for every geometry with `M ≤ 21`;
+//!   `Flex<8, 23>` is binary32 itself and uses the hardware conversion.
+//! * **Arithmetic.** For `M ≤ 10` and `E ≤ 7`, `+ − × ÷ sqrt` run in `f32`
+//!   and are rounded once by the core. Figueroa's innocuous-double-rounding
+//!   bound (`p′ ≥ 2p + 2`, tight at binary16 in binary32) makes the result
+//!   equal to the correctly rounded one, and with `E ≤ 7` every value near a
+//!   rounding boundary of the format is a binary32 *normal*. With `E = 8`
+//!   a product can land in the binary32 subnormal range, where binary32
+//!   keeps too few bits (a test pins a `Flex<8, 10>` counterexample), so
+//!   those geometries, and every geometry with `M > 10`, keep the `f64`
+//!   path: compute in `f64`, round with `from_f64`.
+//! * **`mul_add`** always runs in `f64`. An `f32` FMA would round `a·b + c`
+//!   once to 24 bits, and a tiny `c` can vanish into a tie of the second
+//!   rounding; `f64` keeps every finite result of these formats exact
+//!   enough for one innocuous final rounding.
 //!
 //! ```
 //! use mdmp_precision::{Flex, Half, Real};
@@ -27,8 +58,10 @@ use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAss
 /// An IEEE-754-style float with `E` exponent bits and `M` explicit mantissa
 /// bits, stored in the low `1 + E + M` bits of a `u32`.
 ///
-/// Constraints (asserted at construction): `1 ≤ E ≤ 8`, `1 ≤ M ≤ 23`,
-/// so every value widens exactly to `f64`.
+/// Constraints (asserted at construction): `1 ≤ E ≤ 8` and `1 ≤ M ≤ 21`,
+/// or `Flex<8, 23>` (binary32 itself), so every value widens exactly to
+/// `f32` and `f64` inputs round correctly through binary32 (see the module
+/// docs).
 #[derive(Clone, Copy, Default)]
 #[repr(transparent)]
 pub struct Flex<const E: u32, const M: u32>(u32);
@@ -38,8 +71,37 @@ pub type Fp8E4M3 = Flex<4, 3>;
 /// IEEE-style FP8 with 5 exponent and 2 mantissa bits.
 pub type Fp8E5M2 = Flex<5, 2>;
 
+/// Round an `f64` to binary32 *to odd*: truncate toward zero, then set the
+/// last significand bit when the conversion was inexact. Followed by a
+/// round-to-nearest-even at `p ≤ 22` bits this equals direct rounding of
+/// the `f64`, because no value rounded to odd at `p + 2` bits sits on a
+/// midpoint of the `p`-bit format unless the input did. Overflow keeps the
+/// largest finite binary32 (odd), which every narrower format rounds to
+/// infinity; NaN stays NaN.
+#[inline]
+pub(crate) fn f64_to_f32_odd(x: f64) -> f32 {
+    const MIN_NORMAL: u64 = 0x3810_0000_0000_0000; // 2^-126
+    const OVERFLOW: u64 = 0x47F0_0000_0000_0000; // 2^128
+    let bits = x.to_bits();
+    let abs = bits & !(1 << 63);
+    if abs.wrapping_sub(MIN_NORMAL) < OVERFLOW - MIN_NORMAL {
+        // binary32 normal range: rebias, truncate, fold the dropped bits
+        // into the last one.
+        let sign = (bits >> 32) as u32 & 0x8000_0000;
+        let truncated = ((abs - ((1023 - 127) << 52)) >> 29) as u32;
+        let sticky = (abs & 0x1FFF_FFFF != 0) as u32;
+        return f32::from_bits(sign | truncated | sticky);
+    }
+    // Zero, binary32 subnormals, overflow, ±∞ and NaN.
+    let nearest = x as f32;
+    let wide = nearest as f64;
+    let inexact = wide != x && !x.is_nan();
+    let overshot = wide.abs() > x.abs();
+    f32::from_bits((nearest.to_bits() - overshot as u32) | inexact as u32)
+}
+
 impl<const E: u32, const M: u32> Flex<E, M> {
-    const _VALID: () = assert!(E >= 1 && E <= 8 && M >= 1 && M <= 23);
+    const _VALID: () = assert!(E >= 1 && E <= 8 && M >= 1 && (M <= 21 || (E == 8 && M == 23)));
 
     /// Exponent bias `2^(E−1) − 1`.
     pub const BIAS: i32 = (1 << (E - 1)) - 1;
@@ -53,6 +115,31 @@ impl<const E: u32, const M: u32> Flex<E, M> {
     const SIGN_MASK: u32 = 1 << (E + M);
     const EXP_MASK: u32 = ((1 << E) - 1) << M;
     const FRAC_MASK: u32 = (1 << M) - 1;
+
+    /// Significand bits binary32 has beyond this format's.
+    const DROP: u32 = 23 - M;
+    /// Round-to-nearest-even addend below the kept bits (half an ulp − 1).
+    const ROUND_HALF: u32 = if M == 23 { 0 } else { (1 << (22 - M)) - 1 };
+    /// Mask of the kept significand's last bit, shifted down (the tie-break).
+    const ROUND_LSB: u32 = if M == 23 { 0 } else { 1 };
+    /// Exponent-field offset between binary32 and this format, in place.
+    const REBIAS: u32 = ((127 - Self::BIAS) as u32) << 23;
+    /// binary32 bits of this format's smallest normal, `2^EMIN`.
+    const MIN_NORMAL_F32: u32 = ((Self::EMIN + 127) as u32) << 23;
+    /// binary32 bits of `2^(EMIN + 23 − M)`, whose ulp is the subnormal
+    /// quantum `2^(EMIN − M)`.
+    const SUBNORMAL_MAGIC: u32 = ((Self::EMIN + 150 - M as i32) as u32) << 23;
+    /// binary32 bits of the subnormal quantum `2^(EMIN − M)` (`E < 8` only,
+    /// where it is a binary32 normal).
+    const SUBNORMAL_QUANTUM: u32 = if E == 8 {
+        0
+    } else {
+        ((Self::EMIN + 127 - M as i32) as u32) << 23
+    };
+    /// Whether `+ − × ÷ sqrt` may run in `f32` with one final rounding
+    /// (module docs): `2p + 2 ≤ 24` and no boundary in binary32's
+    /// subnormal range.
+    const F32_ARITH: bool = M <= 10 && E <= 7;
 
     /// Positive zero.
     pub const ZERO: Self = Flex(0);
@@ -75,88 +162,69 @@ impl<const E: u32, const M: u32> Flex<E, M> {
         self.0
     }
 
-    /// Round an `f64` to this format, round-to-nearest-even.
-    pub fn from_f64(x: f64) -> Self {
+    /// Round an `f32` to this format, round-to-nearest-even: the shared
+    /// rounding core (module docs). NaN becomes the quiet NaN with the
+    /// input's sign; overflow saturates to a signed infinity.
+    #[inline]
+    pub fn from_f32(x: f32) -> Self {
         // Force the geometry check (associated consts are lazy).
         #[allow(clippy::let_unit_value)]
         let _ = Self::_VALID;
         let bits = x.to_bits();
-        let sign = if bits >> 63 != 0 { Self::SIGN_MASK } else { 0 };
-        let exp = ((bits >> 52) & 0x7FF) as i32;
-        let frac = bits & 0x000F_FFFF_FFFF_FFFF;
+        let sign = (bits >> 31) << (E + M);
+        let abs = bits & 0x7FFF_FFFF;
+        if abs > 0x7F80_0000 {
+            return Flex(sign | Self::NAN.0);
+        }
+        let mag = if abs >= Self::MIN_NORMAL_F32 {
+            let v = abs - Self::REBIAS;
+            let r = (v + Self::ROUND_HALF + ((v >> Self::DROP) & Self::ROUND_LSB)) >> Self::DROP;
+            r.min(Self::EXP_MASK)
+        } else {
+            // The sum stays in the magic constant's binade, so its low bits
+            // count subnormal quanta, rounded by the FPU (a carry out of
+            // the subnormal range lands on the smallest normal encoding).
+            let magic = f32::from_bits(Self::SUBNORMAL_MAGIC);
+            (f32::from_bits(abs) + magic).to_bits() - Self::SUBNORMAL_MAGIC
+        };
+        Flex(sign | mag)
+    }
 
-        if exp == 0x7FF {
-            return if frac != 0 {
-                Flex(sign | Self::NAN.0)
-            } else {
-                Flex(sign | Self::EXP_MASK)
-            };
+    /// Round an `f64` to this format, round-to-nearest-even: to odd at
+    /// binary32 first, then the core (exact, see the module docs).
+    #[inline]
+    pub fn from_f64(x: f64) -> Self {
+        if M == 23 {
+            Self::from_f32(x as f32)
+        } else {
+            Self::from_f32(f64_to_f32_odd(x))
         }
-        if exp == 0 {
-            // f64 subnormals (< 2^-1022) underflow in every supported format.
-            return Flex(sign);
-        }
-        let e = exp - 1023;
-        if e > Self::EMAX {
-            return Flex(sign | Self::EXP_MASK);
-        }
-        if e >= Self::EMIN {
-            // Normal candidate: keep M bits, RNE on the remaining 52−M.
-            let drop = 52 - M;
-            let mut m = (frac >> drop) as u32;
-            let rest = frac & ((1u64 << drop) - 1);
-            let halfway = 1u64 << (drop - 1);
-            let mut e_t = (e + Self::BIAS) as u32;
-            if rest > halfway || (rest == halfway && (m & 1) == 1) {
-                m += 1;
-                if m == (1 << M) {
-                    m = 0;
-                    e_t += 1;
-                    if e_t >= (1 << E) - 1 {
-                        return Flex(sign | Self::EXP_MASK);
-                    }
-                }
-            }
-            return Flex(sign | (e_t << M) | m);
-        }
-        // Subnormal (or underflow): quantum is 2^(EMIN − M).
-        let sig = (1u64 << 52) | frac;
-        let shift_i = 52 + (Self::EMIN - M as i32) - e;
-        if shift_i >= 64 {
-            return Flex(sign);
-        }
-        let shift = shift_i as u32;
-        debug_assert!(shift >= 1);
-        let mut m = (sig >> shift) as u32;
-        let rest = sig & ((1u64 << shift) - 1);
-        let halfway = 1u64 << (shift - 1);
-        if rest > halfway || (rest == halfway && (m & 1) == 1) {
-            m += 1; // may carry into the smallest normal — a valid encoding
-        }
-        Flex(sign | m)
+    }
+
+    /// Widen to `f32` exactly. NaN keeps its sign and payload and is quiet.
+    #[inline]
+    pub fn to_f32(self) -> f32 {
+        let sign = (self.0 & Self::SIGN_MASK) << (31 - E - M);
+        let exp = self.0 & Self::EXP_MASK;
+        let frac = self.0 & Self::FRAC_MASK;
+        let mag = if E == 8 {
+            // binary32's own exponent field: widening is a shift.
+            (exp | frac) << Self::DROP
+        } else if exp == Self::EXP_MASK {
+            let quiet = if frac != 0 { 0x0040_0000 } else { 0 };
+            0x7F80_0000 | quiet | (frac << Self::DROP)
+        } else if exp == 0 {
+            (frac as f32 * f32::from_bits(Self::SUBNORMAL_QUANTUM)).to_bits()
+        } else {
+            ((exp | frac) << Self::DROP) + Self::REBIAS
+        };
+        f32::from_bits(sign | mag)
     }
 
     /// Widen to `f64` exactly.
+    #[inline]
     pub fn to_f64(self) -> f64 {
-        let sign = if self.0 & Self::SIGN_MASK != 0 {
-            -1.0
-        } else {
-            1.0
-        };
-        let exp = (self.0 & Self::EXP_MASK) >> M;
-        let frac = self.0 & Self::FRAC_MASK;
-        if exp == (1 << E) - 1 {
-            return if frac != 0 {
-                f64::NAN
-            } else {
-                sign * f64::INFINITY
-            };
-        }
-        if exp == 0 {
-            return sign * frac as f64 * 2f64.powi(Self::EMIN - M as i32);
-        }
-        let significand = 1.0 + frac as f64 / (1u64 << M) as f64;
-        sign * significand * 2f64.powi(exp as i32 - Self::BIAS)
+        self.to_f32() as f64
     }
 
     /// `true` for NaN.
@@ -177,13 +245,19 @@ impl<const E: u32, const M: u32> Flex<E, M> {
         Flex(self.0 & !Self::SIGN_MASK)
     }
 
-    /// Square root (rounded through the exact f64 widening).
+    /// Square root, correctly rounded (in `f32` where the module docs
+    /// allow it, else in `f64`).
     #[inline]
     pub fn sqrt(self) -> Self {
-        Self::from_f64(self.to_f64().sqrt())
+        if Self::F32_ARITH {
+            Self::from_f32(self.to_f32().sqrt())
+        } else {
+            Self::from_f64(self.to_f64().sqrt())
+        }
     }
 
-    /// Fused multiply-add with one final rounding.
+    /// Fused multiply-add with one final rounding, computed in `f64`
+    /// (module docs).
     #[inline]
     pub fn mul_add(self, a: Self, b: Self) -> Self {
         Self::from_f64(self.to_f64().mul_add(a.to_f64(), b.to_f64()))
@@ -194,7 +268,7 @@ impl<const E: u32, const M: u32> Flex<E, M> {
     pub fn min(self, other: Self) -> Self {
         if self.is_nan() {
             other
-        } else if other.is_nan() || self.to_f64() <= other.to_f64() {
+        } else if other.is_nan() || self.to_f32() <= other.to_f32() {
             self
         } else {
             other
@@ -206,7 +280,7 @@ impl<const E: u32, const M: u32> Flex<E, M> {
     pub fn max(self, other: Self) -> Self {
         if self.is_nan() {
             other
-        } else if other.is_nan() || self.to_f64() >= other.to_f64() {
+        } else if other.is_nan() || self.to_f32() >= other.to_f32() {
             self
         } else {
             other
@@ -242,7 +316,11 @@ macro_rules! flex_binop {
             type Output = Flex<E, M>;
             #[inline]
             fn $method(self, rhs: Flex<E, M>) -> Flex<E, M> {
-                Flex::from_f64(self.to_f64() $op rhs.to_f64())
+                if Self::F32_ARITH {
+                    Flex::from_f32(self.to_f32() $op rhs.to_f32())
+                } else {
+                    Flex::from_f64(self.to_f64() $op rhs.to_f64())
+                }
             }
         }
         impl<const E: u32, const M: u32> $assign_trait for Flex<E, M> {
@@ -273,14 +351,14 @@ impl<const E: u32, const M: u32> PartialEq for Flex<E, M> {
         if self.is_nan() || other.is_nan() {
             return false;
         }
-        self.to_f64() == other.to_f64()
+        self.to_f32() == other.to_f32()
     }
 }
 
 impl<const E: u32, const M: u32> PartialOrd for Flex<E, M> {
     #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        self.to_f64().partial_cmp(&other.to_f64())
+        self.to_f32().partial_cmp(&other.to_f32())
     }
 }
 

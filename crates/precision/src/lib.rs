@@ -47,6 +47,8 @@ mod flex;
 mod kahan;
 mod mode;
 mod real;
+#[cfg(test)]
+mod reference;
 pub mod stochastic;
 mod tf32;
 

@@ -5,9 +5,24 @@
 //! On hardware, TF32 values occupy a 32-bit register whose low 13 mantissa
 //! bits are ignored by the tensor cores. We model that directly: a [`Tf32`]
 //! stores an `f32` that is always quantized to a 10-bit significand
-//! (round-to-nearest-even on the discarded 13 bits), and every arithmetic
-//! result is re-quantized.
+//! (round-to-nearest-even on the discarded 13 bits — the crate's shared
+//! rounding core at `E8M10`, pinned to `Flex::<8, 10>::from_f32` by test),
+//! and every arithmetic result is re-quantized.
+//!
+//! * **Arithmetic** (`+ − × ÷`, `sqrt`) runs in `f32` and is quantized
+//!   once, as a GPU computing in binary32 registers would. binary32 carries
+//!   `24 = 2·11 + 2` significand bits, so results are correctly rounded
+//!   wherever they are binary32 normals. A product or quotient inside
+//!   binary32's subnormal range (below 2⁻¹²⁶) is rounded twice at fixed
+//!   quanta and can miss by one TF32 subnormal ulp; that is the register
+//!   model's behaviour, kept on purpose.
+//! * **`f64` inputs** ([`Tf32::from_f64`]) are rounded to binary32 *to odd*
+//!   first, then quantized, which is exact: `1 + 2⁻¹¹ + 2⁻³⁰` rounds up to
+//!   `1 + 2⁻¹⁰`, where a plain `f64 → f32` cast would leave a false tie.
+//! * **[`Tf32::mul_add`]** stays in `f64` with one final rounding; a
+//!   binary32 FMA could lose a tiny addend into a false tie.
 
+use crate::flex::f64_to_f32_odd;
 use core::cmp::Ordering;
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -18,20 +33,16 @@ use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAss
 pub struct Tf32(f32);
 
 /// Quantize an `f32` to a 10-bit explicit significand, RNE.
+#[inline]
 fn quantize(x: f32) -> f32 {
     if !x.is_finite() {
         return x;
     }
     let bits = x.to_bits();
     // Round-to-nearest-even on the low 13 bits; carry may ripple into the
-    // exponent, which correctly rounds up to the next binade or to infinity.
-    let rounded = bits.wrapping_add(0x0FFF + ((bits >> 13) & 1)) & !0x1FFF;
-    let q = f32::from_bits(rounded);
-    if q.is_nan() {
-        x // quantization cannot create NaN from a finite value; keep input
-    } else {
-        q
-    }
+    // exponent, which correctly rounds up to the next binade or to infinity
+    // (never past it, so a finite input never becomes NaN).
+    f32::from_bits(bits.wrapping_add(0x0FFF + ((bits >> 13) & 1)) & !0x1FFF)
 }
 
 impl Tf32 {
@@ -46,11 +57,11 @@ impl Tf32 {
     /// A quiet NaN.
     pub const NAN: Tf32 = Tf32(f32::NAN);
 
-    /// Round an `f64` to the nearest TF32 value.
+    /// Round an `f64` to the nearest TF32 value: to odd at binary32, then
+    /// quantize (module docs).
     #[inline]
     pub fn from_f64(x: f64) -> Tf32 {
-        // f64 -> f32 -> 10-bit chain; same double-rounding argument as Bf16.
-        Tf32(quantize(x as f32))
+        Tf32(quantize(f64_to_f32_odd(x)))
     }
 
     /// Round an `f32` to the nearest TF32 value.
@@ -89,13 +100,14 @@ impl Tf32 {
         Tf32(self.0.abs())
     }
 
-    /// Square root, re-quantized.
+    /// Square root in `f32`, re-quantized.
     #[inline]
     pub fn sqrt(self) -> Tf32 {
-        Tf32::from_f64(self.to_f64().sqrt())
+        Tf32(quantize(self.0.sqrt()))
     }
 
-    /// Fused multiply-add with a single final quantization.
+    /// Fused multiply-add with a single final quantization, computed in
+    /// `f64` (module docs).
     #[inline]
     pub fn mul_add(self, a: Tf32, b: Tf32) -> Tf32 {
         Tf32::from_f64(self.to_f64().mul_add(a.to_f64(), b.to_f64()))
@@ -144,7 +156,7 @@ macro_rules! tf32_binop {
             type Output = Tf32;
             #[inline]
             fn $method(self, rhs: Tf32) -> Tf32 {
-                Tf32::from_f64(self.to_f64() $op rhs.to_f64())
+                Tf32(quantize(self.0 $op rhs.0))
             }
         }
         impl $assign_trait for Tf32 {
