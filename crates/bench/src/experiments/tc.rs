@@ -58,7 +58,8 @@ fn workload(quick: bool) -> (MultiDimSeries, MultiDimSeries) {
 fn run_mode(r: &MultiDimSeries, q: &MultiDimSeries, quick: bool, mode: PrecisionMode) -> MdmpRun {
     // FP64 runs the unfused three-kernel pipeline so its ledger carries a
     // `dist_calc` row to compare against (the fused pass books the whole
-    // row as `fused_row`); the TC modes ignore the flag and always GEMM.
+    // row as `fused_row`); the TC modes run their unfused GEMM pipeline
+    // too, whose modelled costs equal the fused one's.
     let cfg = MdmpConfig::new(segment_len(quick), mode)
         .with_tiles(TILES)
         .with_fused_rows(Some(false));

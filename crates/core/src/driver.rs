@@ -237,9 +237,10 @@ fn run_generic<P: Real, M: Real>(
     let mut streams = vec![0usize; n_gpu];
     let mut global = MatrixProfile::new_unset(n_q, d);
     let host_workers = cfg.resolved_host_workers(n_gpu).min(tiles.len()).max(1);
-    // TC modes run the blocked-GEMM pipeline, which supersedes row fusion.
+    // Fusion means the same in every mode: TC modes fuse the blocked-GEMM
+    // step with the sort/scan and profile fold.
     let tc_chunk_k = cfg.mode.tc_input().map(|f| cfg.resolved_tc_chunk_k(f));
-    let fused_rows = tc_chunk_k.is_none() && cfg.resolved_fused_rows();
+    let fused_rows = cfg.resolved_fused_rows();
     let pool_before = rayon::pool_stats();
     let wall_start = Instant::now();
 
@@ -722,8 +723,9 @@ mod tests {
         )
         .unwrap()
         .modeled_seconds;
-        // Fusion requests are superseded by the GEMM pipeline, and the run
-        // surfaces the resolved chunk width.
+        // Fused, the GEMM row runs as one dispatch: two eliminated per row.
+        // An explicit opt-out runs the three kernels, bit for bit the same.
+        // The run surfaces the resolved chunk width.
         let cfg = MdmpConfig::new(12, PrecisionMode::Fp16Tc)
             .with_tiles(4)
             .with_fused_rows(Some(true))
@@ -731,8 +733,19 @@ mod tests {
             .with_tc_chunk_k(Some(8));
         let run = run_with_mode(&r, &q, &cfg, &mut sys).unwrap();
         assert_eq!(run.tc_chunk_k, Some(8));
-        assert!(!run.fused_rows, "GEMM path supersedes row fusion");
-        assert_eq!(run.eliminated_dispatches, 0);
+        assert!(run.fused_rows, "TC modes honour the fusion request");
+        let total_rows: u64 = compute_tile_list(r.n_segments(12), q.n_segments(12), 4)
+            .unwrap()
+            .iter()
+            .map(|t| t.rows as u64)
+            .sum();
+        assert_eq!(run.eliminated_dispatches, 2 * total_rows);
+        let unfused =
+            run_with_mode(&r, &q, &cfg.clone().with_fused_rows(Some(false)), &mut sys).unwrap();
+        assert!(!unfused.fused_rows);
+        assert_eq!(unfused.eliminated_dispatches, 0);
+        assert_eq!(unfused.profile, run.profile, "fused TC != unfused TC");
+        assert_eq!(unfused.modeled_seconds, run.modeled_seconds);
         assert!(
             run.modeled_seconds < t64,
             "Fp16Tc model {} not below FP64 {}",
@@ -779,13 +792,7 @@ mod tests {
     fn fused_run_matches_unfused_with_identical_cost_model() {
         let (r, q) = small_pair(160, 3, 12);
         let mut sys = GpuSystem::homogeneous(DeviceSpec::a100(), 2);
-        for mode in [
-            PrecisionMode::Fp64,
-            PrecisionMode::Fp32,
-            PrecisionMode::Fp16,
-            PrecisionMode::Mixed,
-            PrecisionMode::Fp16c,
-        ] {
+        for mode in PrecisionMode::ALL {
             let base = MdmpConfig::new(12, mode).with_tiles(4);
             let fused =
                 run_with_mode(&r, &q, &base.clone().with_fused_rows(Some(true)), &mut sys).unwrap();
@@ -843,27 +850,29 @@ mod tests {
         use mdmp_faults::{FaultKind, FaultPlan};
         let (r, q) = small_pair(160, 2, 12);
         let mut sys = GpuSystem::homogeneous(DeviceSpec::a100(), 2);
-        let cfg = MdmpConfig::new(12, PrecisionMode::Fp32)
-            .with_tiles(4)
-            .with_fused_rows(Some(true));
-        let clean = run_with_mode(&r, &q, &cfg, &mut sys).unwrap();
-        let plan = FaultPlan::new()
-            .with_fault(0, FaultKind::Kernel)
-            .with_fault(1, FaultKind::Stall { millis: 600 })
-            .with_fault(3, FaultKind::PoisonNan);
-        let faulted_cfg = cfg
-            .clone()
-            .with_fault_plan(Some(Arc::new(plan)))
-            .with_tile_deadline(Some(std::time::Duration::from_millis(250)));
-        let faulted = run_with_mode(&r, &q, &faulted_cfg, &mut sys).unwrap();
-        assert_eq!(
-            clean.profile, faulted.profile,
-            "fused path: retried faults must be invisible in the result"
-        );
-        assert_eq!(faulted.faults_injected, 3);
-        assert_eq!(faulted.tile_retries, 3);
-        assert!(faulted.fused_rows);
-        assert_eq!(clean.eliminated_dispatches, faulted.eliminated_dispatches);
+        for mode in [PrecisionMode::Fp32, PrecisionMode::Fp16Tc] {
+            let cfg = MdmpConfig::new(12, mode)
+                .with_tiles(4)
+                .with_fused_rows(Some(true));
+            let clean = run_with_mode(&r, &q, &cfg, &mut sys).unwrap();
+            let plan = FaultPlan::new()
+                .with_fault(0, FaultKind::Kernel)
+                .with_fault(1, FaultKind::Stall { millis: 600 })
+                .with_fault(3, FaultKind::PoisonNan);
+            let faulted_cfg = cfg
+                .clone()
+                .with_fault_plan(Some(Arc::new(plan)))
+                .with_tile_deadline(Some(std::time::Duration::from_millis(250)));
+            let faulted = run_with_mode(&r, &q, &faulted_cfg, &mut sys).unwrap();
+            assert_eq!(
+                clean.profile, faulted.profile,
+                "{mode} fused path: retried faults must be invisible in the result"
+            );
+            assert_eq!(faulted.faults_injected, 3, "{mode}");
+            assert_eq!(faulted.tile_retries, 3, "{mode}");
+            assert!(faulted.fused_rows, "{mode}");
+            assert_eq!(clean.eliminated_dispatches, faulted.eliminated_dispatches);
+        }
     }
 
     #[test]

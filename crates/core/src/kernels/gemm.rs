@@ -34,6 +34,11 @@
 //! before joining the accumulator. Rounding is a pure function, so the
 //! result is bit-identical to rounding per product
 //! ([`mdmp_gpu_sim::mma_dot`], the tests' oracle).
+//!
+//! [`gemm_row`] is the unfused `dist_calc` kernel and the bit-identity
+//! oracle of the fused TC row, [`fused_gemm_row`](super::fused_gemm_row),
+//! which rounds the query-side operands once per tile
+//! ([`QueryOperands`]) instead of once per row.
 
 use crate::kernels::dist::{dist_value, DistParams};
 use crate::precalc::Stats;
@@ -44,6 +49,58 @@ use rayon::prelude::*;
 /// Longest MMA dot product a panel can produce: `2 · chunk_k` operands
 /// (one `df·dg` pair per unrolled step, `chunk_k` steps per panel).
 pub const MAX_PANEL_OPERANDS: usize = 32;
+
+/// A tile's query-side MMA operands (`df_q`, `dg_q`, `k`-major `d × n_q`),
+/// rounded to the TC input format once per tile: they do not depend on the
+/// reference row, so [`fused_gemm_row`](super::fused_gemm_row) reads them
+/// for every row of the tile. Kept in a worker's scratch and restaged per
+/// tile, reusing its allocation.
+#[derive(Debug, Default)]
+pub struct QueryOperands {
+    input: Option<Format>,
+    df: Vec<f32>,
+    dg: Vec<f32>,
+}
+
+impl QueryOperands {
+    /// Round `qstats`' `df`/`dg` planes to `input`.
+    ///
+    /// # Panics
+    /// Panics if `input` is not a tensor-core input format.
+    pub fn stage<T: Real>(&mut self, qstats: &Stats<T>, input: Format) {
+        for (dst, src) in [(&mut self.df, &qstats.df), (&mut self.dg, &qstats.dg)] {
+            dst.resize(src.len(), 0.0);
+            round_operands(src, input, dst);
+        }
+        self.input = Some(input);
+    }
+
+    /// Drop the staged operands, keeping nothing allocated.
+    pub(crate) fn release(&mut self) {
+        *self = QueryOperands::default();
+    }
+
+    /// Staged elements (both planes).
+    pub(crate) fn elems(&self) -> usize {
+        self.df.len() + self.dg.len()
+    }
+
+    /// The staged `(df_q, dg_q)` planes, checked against the format and
+    /// plane size the caller expects.
+    pub(crate) fn planes(&self, input: Format, plane: usize) -> (&[f32], &[f32]) {
+        assert_eq!(
+            self.input,
+            Some(input),
+            "query operands staged for another format"
+        );
+        assert_eq!(
+            self.df.len(),
+            plane,
+            "query operands staged for another tile"
+        );
+        (&self.df, &self.dg)
+    }
+}
 
 /// One simulated-MMA accumulation: `base + Σ a·b` over operands already
 /// rounded to the TC input format, with FP32 chunked accumulation. This is

@@ -16,8 +16,8 @@ pub mod sort_scan;
 pub mod update;
 
 pub use dist::{dist_cost, dist_row, DistParams};
-pub use fused::{fused_row, fused_row_cost, DISPATCHES_ELIMINATED_PER_ROW};
-pub use gemm::{gemm_accumulate, gemm_cost, gemm_row};
+pub use fused::{fused_gemm_row, fused_row, fused_row_cost, DISPATCHES_ELIMINATED_PER_ROW};
+pub use gemm::{gemm_accumulate, gemm_cost, gemm_row, QueryOperands};
 pub use sort_scan::{
     bitonic_sort, comparator_schedule, inclusive_scan_avg, scan_divisors, sort_scan_cost,
     sort_scan_row, Comparator,

@@ -14,9 +14,9 @@
 
 use crate::config::MdmpConfig;
 use crate::kernels::{
-    self, comparator_schedule, dist_cost, dist_row, fused_row, gemm_cost, gemm_row, scan_divisors,
-    sort_scan_cost, sort_scan_row, update_cost, update_profile_row, DistParams,
-    DISPATCHES_ELIMINATED_PER_ROW,
+    self, comparator_schedule, dist_cost, dist_row, fused_gemm_row, fused_row, gemm_cost, gemm_row,
+    scan_divisors, sort_scan_cost, sort_scan_row, update_cost, update_profile_row, DistParams,
+    QueryOperands, DISPATCHES_ELIMINATED_PER_ROW,
 };
 use crate::precalc::{compute_stats, convert_qt, initial_qt, SeriesDevice, Stats};
 use crate::profile::MatrixProfile;
@@ -124,9 +124,10 @@ pub fn execute_tile<P: Real, M: Real>(
 /// The unfused pipeline uses six planes (`qt_prev`, `qt_next`, `dist`,
 /// `scanned`, `p`, `i`); the fused pipeline drops both `dist` and
 /// `scanned` — its fibers live in a small per-worker scratch block inside
-/// [`fused_row`] — shrinking the pool entry by two planes. The accounting
-/// in [`PlaneBuffers::plane_elems`] reflects whichever shape the last tile
-/// used.
+/// [`fused_row`] / [`fused_gemm_row`] — shrinking the pool entry by two
+/// planes. A fused tensor-core tile adds its query-side MMA operands,
+/// rounded once per tile. The accounting in [`PlaneBuffers::plane_elems`]
+/// reflects whichever shape the last tile used.
 #[derive(Debug, Default)]
 pub struct PlaneBuffers<M: Real> {
     qt_prev: Vec<M>,
@@ -135,6 +136,7 @@ pub struct PlaneBuffers<M: Real> {
     scanned: Vec<M>,
     p_plane: Vec<M>,
     i_plane: Vec<i64>,
+    query: QueryOperands,
     tiles_executed: u64,
     reuses: u64,
 }
@@ -149,6 +151,7 @@ impl<M: Real> PlaneBuffers<M> {
             scanned: Vec::new(),
             p_plane: Vec::new(),
             i_plane: Vec::new(),
+            query: QueryOperands::default(),
             tiles_executed: 0,
             reuses: 0,
         }
@@ -198,6 +201,7 @@ impl<M: Real> PlaneBuffers<M> {
             + self.scanned.len()
             + self.p_plane.len()
             + self.i_plane.len()
+            + self.query.elems()
     }
 }
 
@@ -247,10 +251,10 @@ pub fn execute_tile_from_precalc_pooled<M: Real>(
     let qt_row0: Vec<M> = convert_qt(&pre.qt_row0);
     let qt_col0: Vec<M> = convert_qt(&pre.qt_col0);
 
-    // Tensor-core modes take the blocked-GEMM dist_calc path, which needs
-    // the materialized dist/scanned planes — it supersedes row fusion.
+    // Fusion applies in every mode; tensor-core modes fuse their
+    // blocked-GEMM dist_calc step (DESIGN.md §10, §13).
     let tc = cfg.mode.tc_input();
-    let fused = tc.is_none() && cfg.resolved_fused_rows();
+    let fused = cfg.resolved_fused_rows();
 
     // Working planes in the main-loop precision, from the worker's pool.
     bufs.prepare(n_q, d, d_pad, fused);
@@ -261,39 +265,55 @@ pub fn execute_tile_from_precalc_pooled<M: Real>(
         scanned,
         p_plane,
         i_plane,
+        query,
         ..
     } = bufs;
 
     let params = DistParams::<M>::new(cfg.m, cfg.clamp, tile.row0, tile.col0, cfg.exclusion_zone);
 
-    let eliminated_dispatches = if let Some(input) = tc {
+    let schedule = comparator_schedule(d_pad);
+    let divisors = scan_divisors::<M>(d);
+    // The fused TC row reads the query operands rounded once per tile.
+    if let (Some(input), true) = (tc, fused) {
+        query.stage(&qstats, input);
+    } else {
+        query.release();
+    }
+    if let Some(input) = tc {
         // Blocked-GEMM main loop (DESIGN.md §13): `qt_prev` doubles as the
         // panel base plane. Each row is a rank-2t update of the base row
         // through the simulated MMA unit; every `chunk_k` rows (and after
         // row 0, whose QT comes straight from the precalculation) the fresh
         // row is promoted to the new base — the tile-restarted recurrence.
+        // Fused, the GEMM step, sort/scan and profile fold are one dispatch
+        // per row (DESIGN.md §10); unfused, the three kernels run in turn.
         let mma = MmaConfig::new(input).with_chunk_k(cfg.resolved_tc_chunk_k(input));
         let mut base_idx = 0usize;
         for i in 0..n_r {
-            gemm_row(
-                i, base_idx, &qt_row0, &qt_col0, qt_prev, qt_next, dist_plane, &rstats, &qstats,
-                &params, &mma,
-            );
-            sort_scan_row(dist_plane, scanned, n_q, d);
-            update_profile_row(scanned, p_plane, i_plane, n_q, d, (tile.row0 + i) as i64);
+            let global_row = (tile.row0 + i) as i64;
+            if fused {
+                fused_gemm_row(
+                    i, base_idx, &qt_row0, &qt_col0, qt_prev, qt_next, p_plane, i_plane, &rstats,
+                    &qstats, query, &params, &mma, &schedule, &divisors, global_row,
+                );
+            } else {
+                gemm_row(
+                    i, base_idx, &qt_row0, &qt_col0, qt_prev, qt_next, dist_plane, &rstats,
+                    &qstats, &params, &mma,
+                );
+                sort_scan_row(dist_plane, scanned, n_q, d);
+                update_profile_row(scanned, p_plane, i_plane, n_q, d, global_row);
+            }
             if i - base_idx == mma.chunk_k || i == 0 {
                 qt_prev.copy_from_slice(qt_next);
                 base_idx = i;
             }
         }
-        0
     } else if fused {
         // Fused main loop (DESIGN.md §10): one dispatch per row over the
         // same k-major planes as the unfused path; neither the `dist` nor
         // the `scanned` plane exists — fibers live in per-worker scratch
         // inside `fused_row`.
-        let schedule = comparator_schedule(d_pad);
-        let divisors = scan_divisors::<M>(d);
         for i in 0..n_r {
             fused_row(
                 i,
@@ -312,7 +332,6 @@ pub fn execute_tile_from_precalc_pooled<M: Real>(
             );
             std::mem::swap(qt_prev, qt_next);
         }
-        DISPATCHES_ELIMINATED_PER_ROW * n_r as u64
     } else {
         // Main iteration loop (Pseudocode 1, lines 3-7).
         for i in 0..n_r {
@@ -323,6 +342,10 @@ pub fn execute_tile_from_precalc_pooled<M: Real>(
             update_profile_row(scanned, p_plane, i_plane, n_q, d, (tile.row0 + i) as i64);
             std::mem::swap(qt_prev, qt_next);
         }
+    }
+    let eliminated_dispatches = if fused {
+        DISPATCHES_ELIMINATED_PER_ROW * n_r as u64
+    } else {
         0
     };
     // D2H: widen the profile exactly to f64 (the planes stay in the pool).
@@ -818,7 +841,9 @@ mod tests {
         let cfg32 = MdmpConfig::new(m, PrecisionMode::Fp32);
         // Pin the chunk so a CI-wide `MDMP_TC_CHUNK_K` cannot shift the
         // panel count or collapse the k=4 comparison below.
-        let cfg_tc = MdmpConfig::new(m, PrecisionMode::Fp16Tc).with_tc_chunk_k(Some(8));
+        let cfg_tc = MdmpConfig::new(m, PrecisionMode::Fp16Tc)
+            .with_tc_chunk_k(Some(8))
+            .with_fused_rows(Some(true));
         let out32 = execute_tile::<f32, f32>(&r, &q, &tile, &cfg32, false);
         let out_tc = execute_tile::<f32, f32>(&r, &q, &tile, &cfg_tc, false);
         let n_q = q.n_segments(m);
@@ -839,13 +864,19 @@ mod tests {
         }
         assert!(total / ((3 * n_q) as f64) < 0.05, "mean TC drift too large");
         // Cost descriptor: one blocked GEMM (panel-count launches, tc
-        // tagged, fragment traffic) instead of `rows` streaming dispatches,
-        // and no fused-eliminated dispatches.
+        // tagged, fragment traffic) instead of `rows` streaming dispatches.
+        // Fused rows eliminate two host dispatches each; the unfused
+        // three-kernel path none, with the same bits and the same costs.
         let gemm = &out_tc.kernel_costs[1];
         assert_eq!(gemm.tc, Some(mdmp_precision::Format::Fp16));
         assert_eq!(gemm.launches, (tile.rows as u64).div_ceil(8));
         assert!(gemm.frag_bytes > 0);
-        assert_eq!(out_tc.eliminated_dispatches, 0);
+        assert_eq!(out_tc.eliminated_dispatches, 2 * tile.rows as u64);
+        let cfg_unfused = cfg_tc.clone().with_fused_rows(Some(false));
+        let unfused = execute_tile::<f32, f32>(&r, &q, &tile, &cfg_unfused, false);
+        assert_eq!(unfused.eliminated_dispatches, 0);
+        assert_eq!(unfused.profile, out_tc.profile, "fused TC tile != unfused");
+        assert_eq!(unfused.kernel_costs, out_tc.kernel_costs);
         // Deterministic: a rerun is bit-identical.
         let rerun = execute_tile::<f32, f32>(&r, &q, &tile, &cfg_tc, false);
         for k in 0..3 {

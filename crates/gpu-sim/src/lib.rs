@@ -46,8 +46,8 @@ pub use executor::{GpuSystem, SimDevice};
 pub use health::DeviceHealth;
 pub use memory::{AllocError, MemoryTracker};
 pub use mma::{
-    default_chunk_k, mma_dot, mma_dot_rounded, round_operand, round_operands, MmaConfig,
-    MMA_CHUNK_SIZES,
+    default_chunk_k, mma_dot, mma_dot_rounded, mma_dot_rounded_lanes, round_operand,
+    round_operands, MmaConfig, MMA_CHUNK_SIZES,
 };
 pub use profiler::UtilizationReport;
 pub use simt::{run_block, run_grid, BitonicScanKernel, BlockKernel, FiberState, ThreadOrder};

@@ -163,6 +163,76 @@ pub fn mma_dot_rounded(base: f64, a: &[f32], b: &[f32], cfg: &MmaConfig) -> f64 
     acc as f64
 }
 
+/// `N` independent [`mma_dot_rounded`] panel dots, one per lane — the lane
+/// form of one blocked-GEMM output row segment (columns `j .. j + N`).
+///
+/// The `s = rf.len()` panel steps share the reference-side operands
+/// `rf[u]` = `df_r[i − u]` and `rg[u]` = `dg_r[i − u]`; the query side is a
+/// sliding window `qf`/`qg` over columns `j − s + 1 .. j + N`. Lane `l`,
+/// step `u` multiplies `rf[u]·qg[w]`, then `qf[w]·rg[u]`, with
+/// `w = l + s − 1 − u` (column `j + l − u`): exactly the product order of
+/// [`mma_dot_rounded`] on the per-column operand vectors
+/// `a = [rf[0], qf[·], rf[1], …]`, `b = [qg[·], rg[0], qg[·], …]`. Each lane
+/// starts from `base[l]`; every `cfg.chunk_k` products are summed into a
+/// chunk that starts from `0.0f32` and then joins the lane's accumulator.
+/// Lanes never interact, so each lane's bits equal the scalar dot's (a NaN
+/// result is a NaN in both; Rust leaves its sign and payload unspecified).
+///
+/// The conversions between the kernel's storage type `T` and the FP32
+/// accumulator happen here, as in the scalar path's `base.to_f64()` /
+/// `T::from_f64` round trip.
+///
+/// # Panics
+/// Panics if `base` has fewer than `N` values, `rf` and `rg` differ in
+/// length, or a query window is shorter than `N + s − 1`.
+#[inline]
+pub fn mma_dot_rounded_lanes<T: Real, const N: usize>(
+    base: &[T],
+    rf: &[f32],
+    rg: &[f32],
+    qf: &[f32],
+    qg: &[f32],
+    cfg: &MmaConfig,
+) -> [T; N] {
+    let steps = rf.len();
+    assert_eq!(rg.len(), steps, "MMA reference panels must match");
+    let mut acc = [0.0f32; N];
+    for (a, b) in acc.iter_mut().zip(&base[..N]) {
+        *a = b.to_f64() as f32;
+    }
+    let mut chunk = [0.0f32; N];
+    let mut filled = 0;
+    let mut flush = |chunk: &mut [f32; N], filled: &mut usize| {
+        for (a, c) in acc.iter_mut().zip(chunk.iter_mut()) {
+            *a += *c;
+            *c = 0.0;
+        }
+        *filled = 0;
+    };
+    for u in 0..steps {
+        let w = steps - 1 - u;
+        let (qf_u, qg_u) = (&qf[w..w + N], &qg[w..w + N]);
+        for (c, &y) in chunk.iter_mut().zip(qg_u) {
+            *c += rf[u] * y;
+        }
+        filled += 1;
+        if filled == cfg.chunk_k {
+            flush(&mut chunk, &mut filled);
+        }
+        for (c, &x) in chunk.iter_mut().zip(qf_u) {
+            *c += x * rg[u];
+        }
+        filled += 1;
+        if filled == cfg.chunk_k {
+            flush(&mut chunk, &mut filled);
+        }
+    }
+    if filled > 0 {
+        flush(&mut chunk, &mut filled);
+    }
+    acc.map(|a| T::from_f64(a as f64))
+}
+
 /// Analytic forward-error bound for [`mma_dot`] against the exact real
 /// dot product: operand rounding contributes `≤ (2ε_in + ε_in²)·Σ|a·b|`,
 /// and the FP32 chunked summation of `n` products contributes at most
@@ -259,6 +329,72 @@ mod tests {
                     let oracle = mma_dot(base, &a, &b, &cfg);
                     let staged = mma_dot_rounded(base, &ra, &rb, &cfg);
                     assert_eq!(oracle.to_bits(), staged.to_bits(), "{fmt} k={k} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_dots_equal_the_scalar_dot_per_lane() {
+        const N: usize = 8;
+        let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        for seed in 0..40u64 {
+            let steps = seed as usize % 17;
+            // Query window over columns j − steps + 1 .. j + N, reference
+            // panel of `steps` values, one base per lane.
+            let (mut qf, mut qg) = panel(seed, N + steps);
+            let (mut rf, mut rg) = panel(seed + 100, steps.max(1));
+            let (mut base, _) = panel(seed + 200, N);
+            // Every fourth seed plants ±0, ±∞ and NaN among the operands
+            // and bases.
+            if seed % 4 == 3 {
+                let at = |i: usize, len: usize| (seed as usize + i) % len;
+                let r_len = rf.len();
+                for (i, &s) in specials.iter().enumerate() {
+                    [&mut qf, &mut qg][i % 2][at(3 * i, N + steps)] = s;
+                    rf[at(i, r_len)] = specials[(i + 1) % 5];
+                    rg[at(2 * i, r_len)] = s;
+                    base[at(i, N)] = s;
+                }
+            }
+            let (rf, rg) = (&rf[..steps], &rg[..steps]);
+            let base: Vec<f32> = base.iter().map(|&b| b as f32).collect();
+            for fmt in [Format::Fp16, Format::Bf16, Format::Tf32] {
+                let stage = |src: &[f64]| {
+                    let mut dst = vec![0.0f32; src.len()];
+                    round_operands(src, fmt, &mut dst);
+                    dst
+                };
+                let (sqf, sqg, srf, srg) = (stage(&qf), stage(&qg), stage(rf), stage(rg));
+                for k in MMA_CHUNK_SIZES {
+                    let cfg = MmaConfig::new(fmt).with_chunk_k(k);
+                    let lanes =
+                        mma_dot_rounded_lanes::<f32, N>(&base, &srf, &srg, &sqf, &sqg, &cfg);
+                    for (l, got) in lanes.iter().enumerate() {
+                        // Lane l, step u: df_r[i−u]·dg_q[w], df_q[w]·dg_r[i−u].
+                        let (mut a, mut b) = (Vec::new(), Vec::new());
+                        let (mut ra, mut rb) = (Vec::new(), Vec::new());
+                        for u in 0..steps {
+                            let w = l + steps - 1 - u;
+                            a.extend([rf[u], qf[w]]);
+                            b.extend([qg[w], rg[u]]);
+                            ra.extend([srf[u], sqf[w]]);
+                            rb.extend([sqg[w], srg[u]]);
+                        }
+                        let base_l = base[l] as f64;
+                        let staged = mma_dot_rounded(base_l, &ra, &rb, &cfg) as f32;
+                        let oracle = mma_dot(base_l, &a, &b, &cfg) as f32;
+                        let what = format!("{fmt} k={k} steps={steps} lane={l} seed={seed}");
+                        // Rust leaves the sign and payload of a NaN result
+                        // unspecified (an add of two NaNs may be commuted),
+                        // so a NaN matches any NaN; everything else, ±0
+                        // included, matches bit for bit.
+                        let same = |x: f32, y: f32| {
+                            (x.is_nan() && y.is_nan()) || x.to_bits() == y.to_bits()
+                        };
+                        assert!(same(*got, staged), "{what}: {got} vs staged {staged}");
+                        assert!(same(*got, oracle), "{what}: {got} vs oracle {oracle}");
+                    }
                 }
             }
         }
