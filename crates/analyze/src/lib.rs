@@ -9,7 +9,7 @@
 //! | R1 | precision hygiene: no raw `.sqrt()`/`.powi()`/`as f32`/`as f64` in `crates/core/src/kernels/*` outside the blessed `dist_value`/`dist_value_lanes`/`gemm_accumulate` call sites, and no `.powi(` in the software-float formats (`crates/precision/src/{f16,bf16,tf32,flex,real}.rs`) | every rounding decision happens in one audited expression; widening never calls a runtime-exponent libm routine |
 //! | R2 | determinism: no `HashMap`/`HashSet` in merge/profile/serialization paths | iteration order never reaches results |
 //! | R3 | atomic-ordering audit: every `Ordering::Relaxed` carries a `// relaxed-ok:` justification | each relaxed access is argued not to order data |
-//! | R4 | panic hygiene: no `unwrap()`/`expect()`/`panic!` in service request-path modules | a bad request cannot take the worker down |
+//! | R4 | panic hygiene: no `unwrap()`/`expect()`/`panic!` in request-path modules (service, cluster, and core's streaming, remote-subset and tile-engine modules) | a bad request cannot take the worker down |
 //! | R5 | float-compare: no `==`/`!=` on float operands outside `crates/precision` | bit-equality goes through the pinned helpers |
 //! | R6 | lock-order: no two locks acquired in opposite orders on any two interprocedural paths | no schedule can deadlock two threads meeting in the middle |
 //! | R7 | lock-across-blocking: no lock held across socket I/O, `join`, channel `recv`, sleep, or a `Condvar` wait on a different lock | a slow peer or lost wakeup cannot stall every thread needing the lock |
@@ -115,16 +115,19 @@ const POWI_FREE_FILES: [&str; 5] = [
     "crates/precision/src/real.rs",
 ];
 
-/// Service and cluster modules on the request path (R4 scope): code a
-/// remote client's request flows through must return typed errors, never
-/// panic.
-const REQUEST_PATH_MODULES: [&str; 9] = [
+/// Service, cluster and core modules on the request path (R4 scope): code
+/// a remote client's request flows through must return typed errors, never
+/// panic. `remote.rs` serves the `tile_exec` op and `engine.rs` runs every
+/// served tile's attempt loop.
+const REQUEST_PATH_MODULES: [&str; 11] = [
     "crates/service/src/scheduler.rs",
     "crates/service/src/server.rs",
     "crates/service/src/session.rs",
     "crates/service/src/cache.rs",
     "crates/service/src/wire.rs",
     "crates/core/src/streaming.rs",
+    "crates/core/src/remote.rs",
+    "crates/core/src/engine.rs",
     "crates/cluster/src/coordinator.rs",
     "crates/cluster/src/client.rs",
     "crates/cluster/src/lease.rs",

@@ -6,23 +6,18 @@
 //! with min/argmin. The modelled time is the slowest device's makespan plus
 //! the CPU merge.
 
-use crate::config::{MdmpConfig, MdmpError, TileError};
+use crate::config::{MdmpConfig, MdmpError};
+use crate::engine::{execute_job_tile, job_tiles, TileEngine, TileSuccess};
 use crate::profile::MatrixProfile;
-use crate::tile_exec::{
-    apply_plane_fault, compute_tile_precalc, execute_tile_from_precalc_pooled, max_profile_value,
-    validate_profile_plane, PlaneBuffers, TileOutput, TilePrecalc,
-};
-use crate::tiling::{assign_tiles_weighted, compute_tile_list, Tile};
+use crate::tile_exec::{PlaneBuffers, TileOutput, TilePrecalc};
+use crate::tiling::Tile;
 use mdmp_data::MultiDimSeries;
-use mdmp_faults::FaultKind;
-use mdmp_gpu_sim::{
-    CostLedger, DeviceHealth, DeviceSpec, GpuSystem, KernelClass, KernelCost, TimingModel,
-};
-use mdmp_precision::{Bf16, Format, Fp8E4M3, Fp8E5M2, Half, PrecisionMode, Real, Tf32};
+use mdmp_gpu_sim::{CostLedger, DeviceSpec, GpuSystem, KernelClass, KernelCost, TimingModel};
+use mdmp_precision::{Format, ModeVisitor, Real};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Host-side fixed cost per tile (stream setup, allocation, result
 /// handling) — the overhead that makes very high tile counts slightly
@@ -166,36 +161,34 @@ pub fn run_with_mode_cached(
     system: &mut GpuSystem,
     store: Option<&dyn PrecalcStore>,
 ) -> Result<MdmpRun, MdmpError> {
-    match cfg.mode {
-        PrecisionMode::Fp64 => run_generic::<f64, f64>(reference, query, cfg, system, false, store),
-        PrecisionMode::Fp32 => run_generic::<f32, f32>(reference, query, cfg, system, false, store),
-        PrecisionMode::Fp16 => {
-            run_generic::<Half, Half>(reference, query, cfg, system, false, store)
-        }
-        PrecisionMode::Mixed => {
-            run_generic::<f32, Half>(reference, query, cfg, system, false, store)
-        }
-        PrecisionMode::Fp16c => {
-            run_generic::<Half, Half>(reference, query, cfg, system, true, store)
-        }
-        PrecisionMode::Bf16 => {
-            run_generic::<Bf16, Bf16>(reference, query, cfg, system, false, store)
-        }
-        PrecisionMode::Tf32 => {
-            run_generic::<Tf32, Tf32>(reference, query, cfg, system, false, store)
-        }
-        // FP8 extension modes: FP32 precalculation by construction.
-        PrecisionMode::Fp8E4M3 => {
-            run_generic::<f32, Fp8E4M3>(reference, query, cfg, system, false, store)
-        }
-        PrecisionMode::Fp8E5M2 => {
-            run_generic::<f32, Fp8E5M2>(reference, query, cfg, system, false, store)
-        }
-        // Tensor-core GEMM modes: FP32 storage + accumulation; the operand
-        // narrowing happens inside the blocked-GEMM dist_calc path.
-        PrecisionMode::Fp16Tc | PrecisionMode::Bf16Tc | PrecisionMode::Tf32Tc => {
-            run_generic::<f32, f32>(reference, query, cfg, system, false, store)
-        }
+    cfg.mode.dispatch(RunJob {
+        reference,
+        query,
+        cfg,
+        system,
+        store,
+    })
+}
+
+/// [`run_with_mode_cached`]'s arguments, visited with the mode's types.
+struct RunJob<'a> {
+    reference: &'a MultiDimSeries,
+    query: &'a MultiDimSeries,
+    cfg: &'a MdmpConfig,
+    system: &'a mut GpuSystem,
+    store: Option<&'a dyn PrecalcStore>,
+}
+
+impl ModeVisitor for RunJob<'_> {
+    type Output = Result<MdmpRun, MdmpError>;
+    fn visit<P: Real, M: Real>(self) -> Self::Output {
+        run_generic::<P, M>(
+            self.reference,
+            self.query,
+            self.cfg,
+            self.system,
+            self.store,
+        )
     }
 }
 
@@ -204,38 +197,15 @@ fn run_generic<P: Real, M: Real>(
     query: &MultiDimSeries,
     cfg: &MdmpConfig,
     system: &mut GpuSystem,
-    kahan: bool,
     store: Option<&dyn PrecalcStore>,
 ) -> Result<MdmpRun, MdmpError> {
-    if reference.dims() != query.dims() {
-        return Err(MdmpError::DimensionalityMismatch {
-            reference: reference.dims(),
-            query: query.dims(),
-        });
-    }
-    if reference.len() < cfg.m || query.len() < cfg.m {
-        return Err(MdmpError::BadConfig(
-            "series shorter than the segment length".into(),
-        ));
-    }
-    let n_r = reference.n_segments(cfg.m);
-    let n_q = query.n_segments(cfg.m);
-    cfg.validate(n_r, n_q)?;
+    let tiles = job_tiles(reference, query, cfg)?;
     let d = reference.dims();
-    let tiles = compute_tile_list(n_r, n_q, cfg.n_tiles)?;
-
     system.reset();
     let n_gpu = system.device_count();
     let overlap = overlap_factor(tiles.len(), n_gpu);
-    let weights: Vec<f64> = (0..n_gpu)
-        .map(|i| {
-            let spec = &system.device(i).spec;
-            spec.mem_bandwidth * spec.mem_eff_fp64
-        })
-        .collect();
-    let assignment = assign_tiles_weighted(&tiles, &weights, cfg.schedule);
     let mut streams = vec![0usize; n_gpu];
-    let mut global = MatrixProfile::new_unset(n_q, d);
+    let mut global = MatrixProfile::new_unset(query.n_segments(cfg.m), d);
     let host_workers = cfg.resolved_host_workers(n_gpu).min(tiles.len()).max(1);
     // Fusion means the same in every mode: TC modes fuse the blocked-GEMM
     // step with the sort/scan and profile fold.
@@ -245,103 +215,16 @@ fn run_generic<P: Real, M: Real>(
     let wall_start = Instant::now();
 
     // Resilience state shared by the workers and the coordinator: the
-    // device health ledger plus run-level fault accounting.
-    let health = DeviceHealth::new(n_gpu, cfg.quarantine_threshold);
-    let retry_ctr = AtomicU64::new(0);
-    let validation_ctr = AtomicU64::new(0);
-    let fault_ctr = AtomicU64::new(0);
-    let value_bound = max_profile_value(cfg.m);
-
-    // One attempt at a tile: inject the planned fault (if any), execute,
-    // poison the result plane if asked, then run the validation gate and
-    // the per-kernel deadline check.
-    let attempt_tile = |tile: &Tile,
-                        bufs: &mut PlaneBuffers<M>,
-                        attempt: u32|
-     -> Result<(TileOutput, bool), TileError> {
-        let start = Instant::now();
-        let fault = cfg
-            .fault_plan
-            .as_deref()
-            .and_then(|plan| plan.tile_fault(tile.index, attempt));
-        if fault.is_some() {
-            // relaxed-ok: reporting tally, read once after every worker
-            // has joined (the scope join is the synchronization point).
-            fault_ctr.fetch_add(1, Ordering::Relaxed);
-        }
-        match fault {
-            Some(FaultKind::Kernel) => return Err(TileError::Kernel { tile: tile.index }),
-            Some(FaultKind::Stall { millis }) => std::thread::sleep(Duration::from_millis(millis)),
-            _ => {}
-        }
-        let mut compute = || {
-            Arc::new(compute_tile_precalc::<P>(
-                reference, query, tile, cfg, kahan,
-            ))
-        };
-        let (pre, cached) = match store {
-            Some(s) => s.fetch_or_compute(tile.index, &mut compute),
-            None => (compute(), false),
-        };
-        let mut out = execute_tile_from_precalc_pooled::<M>(&pre, tile, cfg, kahan, cached, bufs);
-        if let Some(kind) = fault {
-            apply_plane_fault(&mut out.profile, kind);
-        }
-        // The gate guards every result, faulted or not — but only when
-        // clamping is on; the unclamped ablation produces legitimate NaNs.
-        if cfg.clamp {
-            if let Err(violation) = validate_profile_plane(&out.profile, value_bound) {
-                // relaxed-ok: reporting tally, read after scope join.
-                validation_ctr.fetch_add(1, Ordering::Relaxed);
-                return Err(TileError::PoisonedPlane {
-                    tile: tile.index,
-                    violation,
-                });
-            }
-        }
-        if let Some(deadline) = cfg.tile_deadline {
-            let elapsed = start.elapsed();
-            if elapsed > deadline {
-                return Err(TileError::Timeout {
-                    tile: tile.index,
-                    elapsed_ms: elapsed.as_millis() as u64,
-                    deadline_ms: deadline.as_millis() as u64,
-                });
-            }
-        }
-        Ok((out, cached))
+    // device assignment and health ledger plus run-level fault accounting.
+    // Both the inline single-worker path and the scoped-thread pool run
+    // every tile through the engine's attempt loop; the device index a
+    // tile finally ran on rides along to the cost model.
+    let engine = TileEngine::new(cfg, &tiles, system);
+    let produce = |tile: &Tile, bufs: &mut PlaneBuffers<M>| {
+        engine.run(tile, || {
+            execute_job_tile::<P, M>(reference, query, tile, cfg, store, bufs)
+        })
     };
-
-    // Per-tile production with retries, shared verbatim by the inline
-    // single-worker path and the scoped-thread pool so both run the exact
-    // same code. A failing attempt is retried with capped exponential
-    // backoff and re-dispatched away from quarantined devices; the device
-    // index a tile finally ran on rides along to the cost model.
-    let produce =
-        |tile: &Tile, bufs: &mut PlaneBuffers<M>| -> Result<(TileOutput, bool, usize), TileError> {
-            let preferred = assignment[tile.index];
-            let mut attempt: u32 = 0;
-            loop {
-                let dev = health.dispatch(preferred, attempt as usize);
-                match attempt_tile(tile, bufs, attempt) {
-                    Ok((out, cached)) => return Ok((out, cached, dev)),
-                    Err(err) => {
-                        health.record_failure(dev);
-                        if attempt >= cfg.tile_retries {
-                            return Err(err);
-                        }
-                        // relaxed-ok: reporting tally, read after scope join.
-                        retry_ctr.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(retry_backoff(
-                            cfg.tile_retry_base,
-                            cfg.tile_retry_cap,
-                            attempt,
-                        ));
-                        attempt += 1;
-                    }
-                }
-            }
-        };
 
     // In-order consumption on the coordinating thread: cost submission
     // bumps the per-device stream counters and the profile merge resolves
@@ -381,19 +264,6 @@ fn run_generic<P: Real, M: Real>(
     let mut buffer_pool_reuses = 0u64;
     let mut buffer_pool_allocs = 0u64;
     let mut outcome: Result<(), MdmpError> = Ok(());
-    let wrap_tile_error = |source: TileError| {
-        let tile = match source {
-            TileError::Kernel { tile }
-            | TileError::Timeout { tile, .. }
-            | TileError::PoisonedPlane { tile, .. } => tile,
-        };
-        MdmpError::TileFailed {
-            tile,
-            attempts: cfg.tile_retries + 1,
-            source,
-        }
-    };
-
     if host_workers == 1 {
         let mut bufs = PlaneBuffers::<M>::new();
         let busy_start = Instant::now();
@@ -405,8 +275,8 @@ fn run_generic<P: Real, M: Real>(
                         break;
                     }
                 }
-                Err(source) => {
-                    outcome = Err(wrap_tile_error(source));
+                Err(e) => {
+                    outcome = Err(e);
                     break;
                 }
             }
@@ -420,8 +290,7 @@ fn run_generic<P: Real, M: Real>(
         // consumes strictly in ascending tile index.
         let next_tile = AtomicUsize::new(0);
         let cancel = AtomicBool::new(false);
-        type TileResult = Result<(TileOutput, bool, usize), TileError>;
-        let (tx, rx) = mpsc::channel::<(usize, TileResult)>();
+        let (tx, rx) = mpsc::channel::<(usize, Result<TileSuccess, MdmpError>)>();
         let mut worker_panics = 0usize;
         let mut tiles_merged = 0usize;
         std::thread::scope(|scope| {
@@ -463,14 +332,14 @@ fn run_generic<P: Real, M: Real>(
                 .collect();
             drop(tx);
 
-            let mut pending: BTreeMap<usize, (TileOutput, bool, usize)> = BTreeMap::new();
+            let mut pending: BTreeMap<usize, TileSuccess> = BTreeMap::new();
             'recv: while let Ok((tile_index, result)) = rx.recv() {
                 match result {
                     Ok(payload) => {
                         pending.insert(tile_index, payload);
                     }
-                    Err(source) => {
-                        outcome = Err(wrap_tile_error(source));
+                    Err(e) => {
+                        outcome = Err(e);
                         // relaxed-ok: advisory cancellation (see the
                         // worker-side load).
                         cancel.store(true, Ordering::Relaxed);
@@ -541,23 +410,17 @@ fn run_generic<P: Real, M: Real>(
         worker_busy_seconds,
         buffer_pool_reuses,
         buffer_pool_allocs,
-        // relaxed-ok: all workers have joined (scope exit) before these
-        // reads, so the tallies are complete and stable.
-        tile_retries: retry_ctr.load(Ordering::Relaxed),
-        plane_validation_failures: validation_ctr.load(Ordering::Relaxed), // relaxed-ok: same
-        faults_injected: fault_ctr.load(Ordering::Relaxed),                // relaxed-ok: same
-        quarantined_devices: health.quarantined(),
+        // All workers have joined (scope exit), so the tallies are final.
+        tile_retries: engine.tile_retries(),
+        plane_validation_failures: engine.plane_validation_failures(),
+        faults_injected: engine.faults_injected(),
+        quarantined_devices: engine.quarantined_devices(),
         fused_rows,
         eliminated_dispatches,
         tc_chunk_k,
         pool_dispatches,
         pool_thread_reuses,
     })
-}
-
-/// Capped exponential backoff: `base · 2^attempt`, never above `cap`.
-pub(crate) fn retry_backoff(base: Duration, cap: Duration, attempt: u32) -> Duration {
-    base.saturating_mul(1u32 << attempt.min(16)).min(cap)
 }
 
 /// Overhead-overlap factor for a run (see [`OVERHEAD_OVERLAP_CAP`]): full
@@ -624,8 +487,10 @@ pub(crate) fn merge_model(tiles: &[Tile], d: usize, format: Format) -> (f64, Ker
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tiling::compute_tile_list;
     use mdmp_data::synthetic::{generate_pair, SyntheticConfig};
     use mdmp_gpu_sim::DeviceSpec;
+    use mdmp_precision::PrecisionMode;
 
     fn small_pair(n: usize, d: usize, m: usize) -> (MultiDimSeries, MultiDimSeries) {
         let cfg = SyntheticConfig {
@@ -1059,18 +924,6 @@ mod tests {
             }
             other => panic!("expected TilesMissing, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn retry_backoff_is_capped_exponential() {
-        use std::time::Duration;
-        let base = Duration::from_millis(1);
-        let cap = Duration::from_millis(50);
-        assert_eq!(retry_backoff(base, cap, 0), Duration::from_millis(1));
-        assert_eq!(retry_backoff(base, cap, 1), Duration::from_millis(2));
-        assert_eq!(retry_backoff(base, cap, 5), Duration::from_millis(32));
-        assert_eq!(retry_backoff(base, cap, 6), cap);
-        assert_eq!(retry_backoff(base, cap, 63), cap);
     }
 
     #[test]

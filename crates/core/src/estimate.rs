@@ -11,8 +11,8 @@
 
 use crate::config::{MdmpConfig, MdmpError};
 use crate::driver::{merge_model, overlap_factor, submit_tile_costs};
+use crate::engine::{assign_by_bandwidth, tile_list};
 use crate::tile_exec::tile_cost_bundle;
-use crate::tiling::{assign_tiles_weighted, compute_tile_list};
 use mdmp_gpu_sim::{CostLedger, GpuSystem};
 
 /// Modelled timing of a run at arbitrary scale.
@@ -46,19 +46,13 @@ pub fn estimate_run(
     cfg: &MdmpConfig,
     system: &mut GpuSystem,
 ) -> Result<RunEstimate, MdmpError> {
-    cfg.validate(n_r, n_q)?;
-    let tiles = compute_tile_list(n_r, n_q, cfg.n_tiles)?;
+    let tiles = tile_list(n_r, n_q, cfg)?;
     system.reset();
     let n_gpu = system.device_count();
     let overlap = overlap_factor(tiles.len(), n_gpu);
     let kahan = cfg.mode.compensated_precalc();
-    let weights: Vec<f64> = (0..n_gpu)
-        .map(|i| {
-            let spec = &system.device(i).spec;
-            spec.mem_bandwidth * spec.mem_eff_fp64
-        })
-        .collect();
-    let assignment = assign_tiles_weighted(&tiles, &weights, cfg.schedule);
+    let specs = (0..n_gpu).map(|i| &system.device(i).spec);
+    let assignment = assign_by_bandwidth(&tiles, specs, cfg);
     let mut streams = vec![0usize; n_gpu];
     for tile in &tiles {
         let (costs, h2d, d2h, device_bytes) = tile_cost_bundle(tile, d, cfg, kahan);

@@ -44,6 +44,7 @@ pub mod anytime;
 pub mod baseline;
 pub mod config;
 pub mod driver;
+mod engine;
 pub mod estimate;
 pub mod kernels;
 pub mod multinode;

@@ -17,12 +17,13 @@
 
 use crate::config::{MdmpConfig, MdmpError};
 use crate::driver::{merge_model, overlap_factor, submit_tile_costs};
+use crate::engine::{assign_by_bandwidth, job_tiles, tile_list};
 use crate::profile::MatrixProfile;
 use crate::tile_exec::{execute_tile, tile_cost_bundle};
-use crate::tiling::{assign_tiles_weighted, compute_tile_list};
+use crate::tiling::Tile;
 use mdmp_data::MultiDimSeries;
 use mdmp_gpu_sim::ClusterSystem;
-use mdmp_precision::{Bf16, Fp8E4M3, Fp8E5M2, Half, PrecisionMode, Real, Tf32};
+use mdmp_precision::{ModeVisitor, Real};
 
 /// Result of a cluster run.
 #[derive(Debug)]
@@ -47,38 +48,26 @@ pub fn run_on_cluster(
     cfg: &MdmpConfig,
     cluster: &mut ClusterSystem,
 ) -> Result<ClusterRun, MdmpError> {
-    match cfg.mode {
-        PrecisionMode::Fp64 => {
-            run_cluster_generic::<f64, f64>(reference, query, cfg, cluster, false)
-        }
-        PrecisionMode::Fp32 => {
-            run_cluster_generic::<f32, f32>(reference, query, cfg, cluster, false)
-        }
-        PrecisionMode::Fp16 => {
-            run_cluster_generic::<Half, Half>(reference, query, cfg, cluster, false)
-        }
-        PrecisionMode::Mixed => {
-            run_cluster_generic::<f32, Half>(reference, query, cfg, cluster, false)
-        }
-        PrecisionMode::Fp16c => {
-            run_cluster_generic::<Half, Half>(reference, query, cfg, cluster, true)
-        }
-        PrecisionMode::Bf16 => {
-            run_cluster_generic::<Bf16, Bf16>(reference, query, cfg, cluster, false)
-        }
-        PrecisionMode::Tf32 => {
-            run_cluster_generic::<Tf32, Tf32>(reference, query, cfg, cluster, false)
-        }
-        PrecisionMode::Fp8E4M3 => {
-            run_cluster_generic::<f32, Fp8E4M3>(reference, query, cfg, cluster, false)
-        }
-        PrecisionMode::Fp8E5M2 => {
-            run_cluster_generic::<f32, Fp8E5M2>(reference, query, cfg, cluster, false)
-        }
-        // Tensor-core GEMM modes: FP32 storage + accumulation.
-        PrecisionMode::Fp16Tc | PrecisionMode::Bf16Tc | PrecisionMode::Tf32Tc => {
-            run_cluster_generic::<f32, f32>(reference, query, cfg, cluster, false)
-        }
+    cfg.mode.dispatch(RunCluster {
+        reference,
+        query,
+        cfg,
+        cluster,
+    })
+}
+
+/// [`run_on_cluster`]'s arguments, visited with the mode's types.
+struct RunCluster<'a> {
+    reference: &'a MultiDimSeries,
+    query: &'a MultiDimSeries,
+    cfg: &'a MdmpConfig,
+    cluster: &'a mut ClusterSystem,
+}
+
+impl ModeVisitor for RunCluster<'_> {
+    type Output = Result<ClusterRun, MdmpError>;
+    fn visit<P: Real, M: Real>(self) -> Self::Output {
+        run_cluster_generic::<P, M>(self.reference, self.query, self.cfg, self.cluster)
     }
 }
 
@@ -87,32 +76,19 @@ fn run_cluster_generic<P: Real, M: Real>(
     query: &MultiDimSeries,
     cfg: &MdmpConfig,
     cluster: &mut ClusterSystem,
-    kahan: bool,
 ) -> Result<ClusterRun, MdmpError> {
-    if reference.dims() != query.dims() {
-        return Err(MdmpError::DimensionalityMismatch {
-            reference: reference.dims(),
-            query: query.dims(),
-        });
-    }
-    if reference.len() < cfg.m || query.len() < cfg.m {
-        return Err(MdmpError::BadConfig(
-            "series shorter than the segment length".into(),
-        ));
-    }
-    let n_r = reference.n_segments(cfg.m);
-    let n_q = query.n_segments(cfg.m);
-    cfg.validate(n_r, n_q)?;
+    let tiles = job_tiles(reference, query, cfg)?;
     let d = reference.dims();
-    let tiles = compute_tile_list(n_r, n_q, cfg.n_tiles)?;
+    let n_q = query.n_segments(cfg.m);
+    let kahan = cfg.mode.compensated_precalc();
     cluster.reset();
 
     let total_devices = cluster.total_devices();
     let nodes = cluster.node_count();
     let overlap = overlap_factor(tiles.len(), total_devices);
-    let assignment = cluster_weights_assignment(cluster, &tiles, cfg.schedule);
+    let assignment = cluster_assignment(cluster, &tiles, cfg);
     let mut streams = vec![0usize; total_devices];
-    let mut node_tiles: Vec<Vec<crate::tiling::Tile>> = vec![Vec::new(); nodes];
+    let mut node_tiles: Vec<Vec<Tile>> = vec![Vec::new(); nodes];
     let mut global = MatrixProfile::new_unset(n_q, d);
 
     for tile in &tiles {
@@ -162,19 +138,13 @@ fn run_cluster_generic<P: Real, M: Real>(
     })
 }
 
-fn cluster_weights_assignment(
-    cluster: &ClusterSystem,
-    tiles: &[crate::tiling::Tile],
-    schedule: crate::tiling::TileSchedule,
-) -> Vec<usize> {
-    let weights: Vec<f64> = (0..cluster.total_devices())
-        .map(|g| {
-            let (node, local) = cluster.locate(g);
-            let spec = &cluster.node(node).device(local).spec;
-            spec.mem_bandwidth * spec.mem_eff_fp64
-        })
-        .collect();
-    assign_tiles_weighted(tiles, &weights, schedule)
+/// Bandwidth-weighted assignment over every device of every node.
+fn cluster_assignment(cluster: &ClusterSystem, tiles: &[Tile], cfg: &MdmpConfig) -> Vec<usize> {
+    let specs = (0..cluster.total_devices()).map(|g| {
+        let (node, local) = cluster.locate(g);
+        &cluster.node(node).device(local).spec
+    });
+    assign_by_bandwidth(tiles, specs, cfg)
 }
 
 /// Cost-only cluster estimate at arbitrary scale (the multi-node analogue
@@ -186,16 +156,15 @@ pub fn estimate_cluster(
     cfg: &MdmpConfig,
     cluster: &mut ClusterSystem,
 ) -> Result<ClusterRun, MdmpError> {
-    cfg.validate(n_r, n_q)?;
-    let tiles = compute_tile_list(n_r, n_q, cfg.n_tiles)?;
+    let tiles = tile_list(n_r, n_q, cfg)?;
     cluster.reset();
     let total_devices = cluster.total_devices();
     let nodes = cluster.node_count();
     let overlap = overlap_factor(tiles.len(), total_devices);
     let kahan = cfg.mode.compensated_precalc();
-    let assignment = cluster_weights_assignment(cluster, &tiles, cfg.schedule);
+    let assignment = cluster_assignment(cluster, &tiles, cfg);
     let mut streams = vec![0usize; total_devices];
-    let mut node_tiles: Vec<Vec<crate::tiling::Tile>> = vec![Vec::new(); nodes];
+    let mut node_tiles: Vec<Vec<Tile>> = vec![Vec::new(); nodes];
 
     for tile in &tiles {
         let global_dev = assignment[tile.index];
@@ -243,6 +212,7 @@ mod tests {
     use crate::driver::run_with_mode;
     use mdmp_data::synthetic::{generate_pair, Pattern, SyntheticConfig};
     use mdmp_gpu_sim::{DeviceSpec, GpuSystem, Interconnect};
+    use mdmp_precision::PrecisionMode;
 
     fn data() -> mdmp_data::SyntheticPair {
         generate_pair(&SyntheticConfig {

@@ -3,9 +3,9 @@
 //! The cluster coordinator (`mdmp-cluster`) shards one job's tiles across
 //! worker nodes; each node executes its leased tiles through
 //! [`run_tile_subset`] and ships the per-tile result planes back. The
-//! subset runner reuses the exact per-tile pipeline of the local driver —
-//! same precalculation, same fault injection, same retry/quarantine
-//! machinery, same validation gate — over the *global* tiling
+//! subset runner is a sequential adapter over the local driver's tile
+//! engine — the same precalculation, fault injection, retry/quarantine
+//! and validation code — over the *global* tiling
 //! ([`crate::compute_tile_list`] of the full job), so a tile computed
 //! remotely is bit-identical to the same tile computed locally and the
 //! coordinator's in-order merge reproduces the single-node profile
@@ -16,20 +16,15 @@
 //! worker ships actual result planes, and only the per-tile device
 //! seconds come from the cost model.
 
-use crate::config::{MdmpConfig, MdmpError, TileError};
-use crate::driver::{overlap_factor, retry_backoff, submit_tile_costs, PrecalcStore};
+use crate::config::{MdmpConfig, MdmpError};
+use crate::driver::{overlap_factor, submit_tile_costs, PrecalcStore};
+use crate::engine::{execute_job_tile, job_tiles, tile_list, TileEngine};
 use crate::profile::MatrixProfile;
-use crate::tile_exec::{
-    apply_plane_fault, compute_tile_precalc, execute_tile_from_precalc_pooled, max_profile_value,
-    validate_profile_plane, PlaneBuffers,
-};
-use crate::tiling::{assign_tiles_weighted, compute_tile_list, Tile};
+use crate::tile_exec::PlaneBuffers;
+use crate::tiling::Tile;
 use mdmp_data::MultiDimSeries;
-use mdmp_faults::FaultKind;
-use mdmp_gpu_sim::{DeviceHealth, GpuSystem};
-use mdmp_precision::{Bf16, Fp8E4M3, Fp8E5M2, Half, PrecisionMode, Real, Tf32};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use mdmp_gpu_sim::GpuSystem;
+use mdmp_precision::{ModeVisitor, Real};
 
 /// One remotely executed tile: its place in the global tiling, the result
 /// planes, and the modelled device seconds it cost this node.
@@ -95,8 +90,7 @@ pub fn job_tile_count(
     n_query_segments: usize,
     cfg: &MdmpConfig,
 ) -> Result<usize, MdmpError> {
-    cfg.validate(n_ref_segments, n_query_segments)?;
-    Ok(compute_tile_list(n_ref_segments, n_query_segments, cfg.n_tiles)?.len())
+    Ok(tile_list(n_ref_segments, n_query_segments, cfg)?.len())
 }
 
 /// Execute the tiles named by `indices` (positions in the job's global
@@ -115,67 +109,43 @@ pub fn run_tile_subset(
     store: Option<&dyn PrecalcStore>,
     indices: &[usize],
 ) -> Result<TileSubsetRun, MdmpError> {
-    match cfg.mode {
-        PrecisionMode::Fp64 => {
-            run_subset_generic::<f64, f64>(reference, query, cfg, system, false, store, indices)
-        }
-        PrecisionMode::Fp32 => {
-            run_subset_generic::<f32, f32>(reference, query, cfg, system, false, store, indices)
-        }
-        PrecisionMode::Fp16 => {
-            run_subset_generic::<Half, Half>(reference, query, cfg, system, false, store, indices)
-        }
-        PrecisionMode::Mixed => {
-            run_subset_generic::<f32, Half>(reference, query, cfg, system, false, store, indices)
-        }
-        PrecisionMode::Fp16c => {
-            run_subset_generic::<Half, Half>(reference, query, cfg, system, true, store, indices)
-        }
-        PrecisionMode::Bf16 => {
-            run_subset_generic::<Bf16, Bf16>(reference, query, cfg, system, false, store, indices)
-        }
-        PrecisionMode::Tf32 => {
-            run_subset_generic::<Tf32, Tf32>(reference, query, cfg, system, false, store, indices)
-        }
-        // FP8 extension modes: FP32 precalculation by construction.
-        PrecisionMode::Fp8E4M3 => {
-            run_subset_generic::<f32, Fp8E4M3>(reference, query, cfg, system, false, store, indices)
-        }
-        PrecisionMode::Fp8E5M2 => {
-            run_subset_generic::<f32, Fp8E5M2>(reference, query, cfg, system, false, store, indices)
-        }
-        // Tensor-core GEMM modes: FP32 storage + accumulation.
-        PrecisionMode::Fp16Tc | PrecisionMode::Bf16Tc | PrecisionMode::Tf32Tc => {
-            run_subset_generic::<f32, f32>(reference, query, cfg, system, false, store, indices)
-        }
+    cfg.mode.dispatch(RunSubset {
+        reference,
+        query,
+        cfg,
+        system,
+        store,
+        indices,
+    })
+}
+
+/// [`run_tile_subset`]'s arguments, visited with the mode's types.
+struct RunSubset<'a> {
+    reference: &'a MultiDimSeries,
+    query: &'a MultiDimSeries,
+    cfg: &'a MdmpConfig,
+    system: &'a mut GpuSystem,
+    store: Option<&'a dyn PrecalcStore>,
+    indices: &'a [usize],
+}
+
+impl ModeVisitor for RunSubset<'_> {
+    type Output = Result<TileSubsetRun, MdmpError>;
+    fn visit<P: Real, M: Real>(self) -> Self::Output {
+        run_subset_generic::<P, M>(self)
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_subset_generic<P: Real, M: Real>(
-    reference: &MultiDimSeries,
-    query: &MultiDimSeries,
-    cfg: &MdmpConfig,
-    system: &mut GpuSystem,
-    kahan: bool,
-    store: Option<&dyn PrecalcStore>,
-    indices: &[usize],
-) -> Result<TileSubsetRun, MdmpError> {
-    if reference.dims() != query.dims() {
-        return Err(MdmpError::DimensionalityMismatch {
-            reference: reference.dims(),
-            query: query.dims(),
-        });
-    }
-    if reference.len() < cfg.m || query.len() < cfg.m {
-        return Err(MdmpError::BadConfig(
-            "series shorter than the segment length".into(),
-        ));
-    }
-    let n_r = reference.n_segments(cfg.m);
-    let n_q = query.n_segments(cfg.m);
-    cfg.validate(n_r, n_q)?;
-    let tiles = compute_tile_list(n_r, n_q, cfg.n_tiles)?;
+fn run_subset_generic<P: Real, M: Real>(job: RunSubset<'_>) -> Result<TileSubsetRun, MdmpError> {
+    let RunSubset {
+        reference,
+        query,
+        cfg,
+        system,
+        store,
+        indices,
+    } = job;
+    let tiles = job_tiles(reference, query, cfg)?;
     if let Some(&bad) = indices.iter().find(|&&i| i >= tiles.len()) {
         return Err(MdmpError::BadConfig(format!(
             "tile index {bad} out of range (job has {} tiles)",
@@ -184,108 +154,21 @@ fn run_subset_generic<P: Real, M: Real>(
     }
 
     system.reset();
-    let n_gpu = system.device_count();
-    // Overlap mirrors the local driver's decision for the *whole* job so
-    // a tile's modelled cost does not depend on which node ran it.
-    let overlap = overlap_factor(tiles.len(), n_gpu.max(1));
-    let weights: Vec<f64> = (0..n_gpu)
-        .map(|i| {
-            let spec = &system.device(i).spec;
-            spec.mem_bandwidth * spec.mem_eff_fp64
-        })
-        .collect();
-    let assignment = assign_tiles_weighted(&tiles, &weights, cfg.schedule);
-    let health = DeviceHealth::new(n_gpu, cfg.quarantine_threshold);
-    let value_bound = max_profile_value(cfg.m);
-
-    let mut streams = vec![0usize; n_gpu];
+    // Overlap mirrors the local driver's decision for the *whole* job
+    // so a tile's modelled cost does not depend on which node ran it.
+    let overlap = overlap_factor(tiles.len(), system.device_count());
+    let engine = TileEngine::new(cfg, &tiles, system);
+    let mut streams = vec![0usize; system.device_count()];
     let mut bufs = PlaneBuffers::<M>::new();
     let mut results = Vec::with_capacity(indices.len());
     let mut precalc_hits = 0usize;
     let mut precalc_misses = 0usize;
-    let mut tile_retries = 0u64;
-    let mut plane_validation_failures = 0u64;
-    let mut faults_injected = 0u64;
 
     for &index in indices {
         let tile = &tiles[index];
-        let preferred = assignment[index];
-        let mut attempt: u32 = 0;
-        let (out, cached, dev) = loop {
-            let dev = health.dispatch(preferred, attempt as usize);
-            let attempt_result = (|| -> Result<_, TileError> {
-                let start = Instant::now();
-                let fault = cfg
-                    .fault_plan
-                    .as_deref()
-                    .and_then(|plan| plan.tile_fault(tile.index, attempt));
-                if fault.is_some() {
-                    faults_injected += 1;
-                }
-                match fault {
-                    Some(FaultKind::Kernel) => return Err(TileError::Kernel { tile: tile.index }),
-                    Some(FaultKind::Stall { millis }) => {
-                        std::thread::sleep(Duration::from_millis(millis))
-                    }
-                    _ => {}
-                }
-                let mut compute = || {
-                    Arc::new(compute_tile_precalc::<P>(
-                        reference, query, tile, cfg, kahan,
-                    ))
-                };
-                let (pre, cached) = match store {
-                    Some(s) => s.fetch_or_compute(tile.index, &mut compute),
-                    None => (compute(), false),
-                };
-                let mut out = execute_tile_from_precalc_pooled::<M>(
-                    &pre, tile, cfg, kahan, cached, &mut bufs,
-                );
-                if let Some(kind) = fault {
-                    apply_plane_fault(&mut out.profile, kind);
-                }
-                if cfg.clamp {
-                    if let Err(violation) = validate_profile_plane(&out.profile, value_bound) {
-                        plane_validation_failures += 1;
-                        return Err(TileError::PoisonedPlane {
-                            tile: tile.index,
-                            violation,
-                        });
-                    }
-                }
-                if let Some(deadline) = cfg.tile_deadline {
-                    let elapsed = start.elapsed();
-                    if elapsed > deadline {
-                        return Err(TileError::Timeout {
-                            tile: tile.index,
-                            elapsed_ms: elapsed.as_millis() as u64,
-                            deadline_ms: deadline.as_millis() as u64,
-                        });
-                    }
-                }
-                Ok((out, cached))
-            })();
-            match attempt_result {
-                Ok((out, cached)) => break (out, cached, dev),
-                Err(err) => {
-                    health.record_failure(dev);
-                    if attempt >= cfg.tile_retries {
-                        return Err(MdmpError::TileFailed {
-                            tile: tile.index,
-                            attempts: cfg.tile_retries + 1,
-                            source: err,
-                        });
-                    }
-                    tile_retries += 1;
-                    std::thread::sleep(retry_backoff(
-                        cfg.tile_retry_base,
-                        cfg.tile_retry_cap,
-                        attempt,
-                    ));
-                    attempt += 1;
-                }
-            }
-        };
+        let (out, cached, dev) = engine.run(tile, || {
+            execute_job_tile::<P, M>(reference, query, tile, cfg, store, &mut bufs)
+        })?;
         if cached {
             precalc_hits += 1;
         } else {
@@ -317,10 +200,10 @@ fn run_subset_generic<P: Real, M: Real>(
         results,
         precalc_hits,
         precalc_misses,
-        tile_retries,
-        plane_validation_failures,
-        faults_injected,
-        quarantined_devices: health.quarantined(),
+        tile_retries: engine.tile_retries(),
+        plane_validation_failures: engine.plane_validation_failures(),
+        faults_injected: engine.faults_injected(),
+        quarantined_devices: engine.quarantined_devices(),
     })
 }
 
@@ -329,7 +212,10 @@ mod tests {
     use super::*;
     use crate::driver::run_with_mode;
     use mdmp_data::synthetic::{generate_pair, SyntheticConfig};
+    use mdmp_faults::FaultKind;
     use mdmp_gpu_sim::DeviceSpec;
+    use mdmp_precision::PrecisionMode;
+    use std::sync::Arc;
 
     fn small_pair(n: usize, d: usize, m: usize) -> (MultiDimSeries, MultiDimSeries) {
         let cfg = SyntheticConfig {

@@ -44,50 +44,23 @@
 //! create segments spanning old and new data, which the delta tiles cover
 //! by re-reading the last `m − 1` old samples.
 
-use crate::config::{MdmpConfig, MdmpError, TileError};
-use crate::driver::retry_backoff;
+use crate::config::{MdmpConfig, MdmpError};
+use crate::engine::TileEngine;
 use crate::precalc::{
     compute_stats, compute_stats_checkpointed, convert_qt, extend_stats, initial_qt_pooled,
     SeriesDevice, Stats, StatsCheckpoint,
 };
 use crate::profile::MatrixProfile;
-use crate::tile_exec::{
-    apply_plane_fault, compute_tile_precalc, execute_tile_from_precalc, max_profile_value,
-    validate_profile_plane, TilePrecalc,
-};
+use crate::tile_exec::{compute_tile_precalc, execute_tile_from_precalc, TilePrecalc};
 use crate::tiling::Tile;
 use mdmp_data::MultiDimSeries;
-use mdmp_faults::FaultKind;
-use mdmp_precision::{Bf16, Fp8E4M3, Fp8E5M2, Half, PrecisionMode, Real, Tf32};
-use std::time::{Duration, Instant};
+use mdmp_precision::{ModeVisitor, Real};
+use std::time::Instant;
 
 /// Route a delta tile's initial-QT computation through the host worker pool
 /// once it costs at least this many dot-product operations
 /// (`d · (rows + cols) · m`); below that, thread spawn overhead dominates.
 const STREAM_POOL_MIN_DOT_OPS: usize = 1 << 14;
-
-/// Dispatch `$run!(P, M)` for a precision mode's (precalc, main-loop) type
-/// pair — the mode table of `tile_exec` (tensor-core modes run their vector
-/// reference arithmetic in FP32; the GEMM rounding happens per operand
-/// inside the MMA unit).
-macro_rules! dispatch_mode {
-    ($mode:expr, $run:ident) => {
-        match $mode {
-            PrecisionMode::Fp64 => $run!(f64, f64),
-            PrecisionMode::Fp32 => $run!(f32, f32),
-            PrecisionMode::Fp16 => $run!(Half, Half),
-            PrecisionMode::Mixed => $run!(f32, Half),
-            PrecisionMode::Fp16c => $run!(Half, Half),
-            PrecisionMode::Bf16 => $run!(Bf16, Bf16),
-            PrecisionMode::Tf32 => $run!(Tf32, Tf32),
-            PrecisionMode::Fp8E4M3 => $run!(f32, Fp8E4M3),
-            PrecisionMode::Fp8E5M2 => $run!(f32, Fp8E5M2),
-            PrecisionMode::Fp16Tc | PrecisionMode::Bf16Tc | PrecisionMode::Tf32Tc => {
-                $run!(f32, f32)
-            }
-        }
-    };
-}
 
 /// One side's cached precalculation state: full-side rolling statistics
 /// (exact f64 image of the precalc precision) plus the accumulator
@@ -228,13 +201,11 @@ impl StreamingProfile {
             col0: 0,
             cols: n_q,
         };
-        let mode = sp.cfg.mode;
-        macro_rules! run {
-            ($p:ty, $m:ty) => {
-                sp.initial_generic::<$p, $m>(&tile)
-            };
-        }
-        let out = dispatch_mode!(mode, run)?;
+        let out = sp.cfg.mode.dispatch(SessionTile {
+            sp: &mut sp,
+            tile: &tile,
+            step: Step::Initial,
+        })?;
         sp.profile.merge_min_columns(&out, 0);
         sp.tiles.push(tile);
         sp.stats.segments_fresh += (n_r + n_q) as u64;
@@ -285,14 +256,12 @@ impl StreamingProfile {
         tile: &Tile,
         cfg: &MdmpConfig,
     ) -> MatrixProfile {
-        let kahan = cfg.mode.compensated_precalc();
-        macro_rules! run {
-            ($p:ty, $m:ty) => {{
-                let pre = compute_tile_precalc::<$p>(reference, query, tile, cfg, kahan);
-                execute_tile_from_precalc::<$m>(&pre, tile, cfg, kahan, false).profile
-            }};
-        }
-        dispatch_mode!(cfg.mode, run)
+        cfg.mode.dispatch(Replay {
+            reference,
+            query,
+            tile,
+            cfg,
+        })
     }
 
     /// Append samples to the query (one slice per dimension) and extend the
@@ -304,73 +273,71 @@ impl StreamingProfile {
     /// injected fault plan; the profile and series are left unchanged on
     /// error.
     pub fn append_query(&mut self, new_samples: &[Vec<f64>]) -> Result<(), MdmpError> {
-        let started = Instant::now();
-        let old_n_q = self.n_query();
-        let old_len = self.query.len();
-        self.query = append_series(&self.query, new_samples)?;
-        let n_q = self.n_query();
-        let tile = Tile {
-            index: self.tiles.len(),
-            row0: 0,
-            rows: self.n_reference(),
-            col0: old_n_q,
-            cols: n_q - old_n_q,
-        };
-        let mode = self.cfg.mode;
-        macro_rules! run {
-            ($p:ty, $m:ty) => {
-                self.append_query_generic::<$p, $m>(&tile, old_len)
-            };
-        }
-        match dispatch_mode!(mode, run) {
-            Ok(out) => {
-                let mut grown = MatrixProfile::new_unset(n_q, self.query.dims());
-                grown.merge_min_columns(&self.profile, 0);
-                grown.merge_min_columns(&out, old_n_q);
-                self.profile = grown;
-                self.tiles.push(tile);
-                self.finish_append(started);
-                Ok(())
-            }
-            Err(e) => {
-                self.query = self.query.window(0, old_len);
-                Err(e)
-            }
-        }
+        self.append(Side::Query, new_samples)
     }
 
     /// Append samples to the reference and fold the new rows into every
     /// column of the profile. Error behaviour matches
     /// [`StreamingProfile::append_query`].
     pub fn append_reference(&mut self, new_samples: &[Vec<f64>]) -> Result<(), MdmpError> {
+        self.append(Side::Reference, new_samples)
+    }
+
+    /// Grow one side and run its delta tile: the new columns × every
+    /// reference row for a query append, the new rows × every query column
+    /// for a reference append. On error the series are rolled back.
+    fn append(&mut self, grown: Side, new_samples: &[Vec<f64>]) -> Result<(), MdmpError> {
         let started = Instant::now();
-        let old_n_r = self.n_reference();
-        let old_len = self.reference.len();
-        self.reference = append_series(&self.reference, new_samples)?;
-        let tile = Tile {
-            index: self.tiles.len(),
-            row0: old_n_r,
-            rows: self.n_reference() - old_n_r,
-            col0: 0,
-            cols: self.n_query(),
+        let (old_n_r, old_n_q) = (self.n_reference(), self.n_query());
+        let series = self.series_mut(grown);
+        let old_len = series.len();
+        *series = append_series(series, new_samples)?;
+        let index = self.tiles.len();
+        let tile = match grown {
+            Side::Query => Tile {
+                index,
+                row0: 0,
+                rows: old_n_r,
+                col0: old_n_q,
+                cols: self.n_query() - old_n_q,
+            },
+            Side::Reference => Tile {
+                index,
+                row0: old_n_r,
+                rows: self.n_reference() - old_n_r,
+                col0: 0,
+                cols: old_n_q,
+            },
         };
-        let mode = self.cfg.mode;
-        macro_rules! run {
-            ($p:ty, $m:ty) => {
-                self.append_reference_generic::<$p, $m>(&tile, old_len)
-            };
-        }
-        match dispatch_mode!(mode, run) {
+        let step = Step::Append { grown, old_len };
+        match self.cfg.mode.dispatch(SessionTile {
+            sp: self,
+            tile: &tile,
+            step,
+        }) {
             Ok(out) => {
-                self.profile.merge_min_columns(&out, 0);
+                if self.profile.n_query() < self.n_query() {
+                    let mut wider = MatrixProfile::new_unset(self.n_query(), self.query.dims());
+                    wider.merge_min_columns(&self.profile, 0);
+                    self.profile = wider;
+                }
+                self.profile.merge_min_columns(&out, tile.col0);
                 self.tiles.push(tile);
                 self.finish_append(started);
                 Ok(())
             }
             Err(e) => {
-                self.reference = self.reference.window(0, old_len);
+                let series = self.series_mut(grown);
+                *series = series.window(0, old_len);
                 Err(e)
             }
+        }
+    }
+
+    fn series_mut(&mut self, side: Side) -> &mut MultiDimSeries {
+        match side {
+            Side::Query => &mut self.query,
+            Side::Reference => &mut self.reference,
         }
     }
 
@@ -439,75 +406,52 @@ impl StreamingProfile {
         self.run_precalc_tile::<M>(&pre, tile)
     }
 
-    /// Delta tile for a query append: rows are the full reference side
-    /// (statistics reused from the cache), columns are the appended delta
-    /// window (fresh O(new) statistics); the query cache is extended by the
-    /// checkpoint fold.
-    fn append_query_generic<P: Real, M: Real>(
+    /// Delta tile for an append: the shared side (the full other series)
+    /// reuses its cached statistics, the grown side's delta window gets
+    /// fresh O(new) statistics, and after the tile succeeds the grown
+    /// side's cache is extended by the checkpoint fold.
+    fn append_generic<P: Real, M: Real>(
         &mut self,
         tile: &Tile,
-        old_query_len: usize,
+        grown: Side,
+        old_len: usize,
     ) -> Result<MatrixProfile, MdmpError> {
         let m = self.cfg.m;
         let kahan = self.cfg.mode.compensated_precalc();
-        let pre = match (self.incremental, self.ref_cache.as_ref()) {
+        let shared = match grown {
+            Side::Query => self.ref_cache.as_ref(),
+            Side::Reference => self.query_cache.as_ref(),
+        };
+        let pre = match (self.incremental, shared) {
             (true, Some(cache)) => {
-                let refd = SeriesDevice::<P>::load(&self.reference, 0, tile.rows + m - 1);
-                let qd = SeriesDevice::<P>::load(&self.query, tile.col0, tile.cols + m - 1);
-                let qstats_p = compute_stats(&qd, m, kahan);
                 // Exact f64 → P round-trip: the cached f64 values are
                 // images of P values, so this reconstructs the inline
                 // statistics bit-for-bit.
-                let rstats_p: Stats<P> = cache.stats.convert();
-                let rstats = cache.stats.clone();
+                let cached_p: Stats<P> = cache.stats.convert();
+                let cached = cache.stats.clone();
+                let refd = SeriesDevice::<P>::load(&self.reference, tile.row0, tile.rows + m - 1);
+                let qd = SeriesDevice::<P>::load(&self.query, tile.col0, tile.cols + m - 1);
+                let (rstats_p, qstats_p, reused, fresh) = match grown {
+                    Side::Query => (cached_p, compute_stats(&qd, m, kahan), tile.rows, tile.cols),
+                    Side::Reference => (
+                        compute_stats(&refd, m, kahan),
+                        cached_p,
+                        tile.cols,
+                        tile.rows,
+                    ),
+                };
                 let workers = self.qt_workers(tile.rows, tile.cols);
                 let (row0, col0) =
                     initial_qt_pooled(&refd, &rstats_p, &qd, &qstats_p, m, kahan, workers);
                 self.stats.incremental_appends += 1;
-                self.stats.segments_reused += tile.rows as u64;
-                self.stats.segments_fresh += tile.cols as u64;
+                self.stats.segments_reused += reused as u64;
+                self.stats.segments_fresh += fresh as u64;
+                let (rstats, qstats) = match grown {
+                    Side::Query => (cached, qstats_p.convert()),
+                    Side::Reference => (rstats_p.convert(), cached),
+                };
                 TilePrecalc {
                     rstats,
-                    qstats: qstats_p.convert(),
-                    qt_row0: convert_qt(&row0),
-                    qt_col0: convert_qt(&col0),
-                }
-            }
-            _ => {
-                self.stats.segments_fresh += (tile.rows + tile.cols) as u64;
-                compute_tile_precalc::<P>(&self.reference, &self.query, tile, &self.cfg, kahan)
-            }
-        };
-        let out = self.run_precalc_tile::<M>(&pre, tile)?;
-        self.extend_cache::<P>(Side::Query, old_query_len);
-        Ok(out)
-    }
-
-    /// Delta tile for a reference append: columns are the full query side
-    /// (statistics reused), rows are the appended delta window (fresh);
-    /// the reference cache is extended by the checkpoint fold.
-    fn append_reference_generic<P: Real, M: Real>(
-        &mut self,
-        tile: &Tile,
-        old_reference_len: usize,
-    ) -> Result<MatrixProfile, MdmpError> {
-        let m = self.cfg.m;
-        let kahan = self.cfg.mode.compensated_precalc();
-        let pre = match (self.incremental, self.query_cache.as_ref()) {
-            (true, Some(cache)) => {
-                let refd = SeriesDevice::<P>::load(&self.reference, tile.row0, tile.rows + m - 1);
-                let qd = SeriesDevice::<P>::load(&self.query, 0, tile.cols + m - 1);
-                let rstats_p = compute_stats(&refd, m, kahan);
-                let qstats_p: Stats<P> = cache.stats.convert();
-                let qstats = cache.stats.clone();
-                let workers = self.qt_workers(tile.rows, tile.cols);
-                let (row0, col0) =
-                    initial_qt_pooled(&refd, &rstats_p, &qd, &qstats_p, m, kahan, workers);
-                self.stats.incremental_appends += 1;
-                self.stats.segments_reused += tile.cols as u64;
-                self.stats.segments_fresh += tile.rows as u64;
-                TilePrecalc {
-                    rstats: rstats_p.convert(),
                     qstats,
                     qt_row0: convert_qt(&row0),
                     qt_col0: convert_qt(&col0),
@@ -519,7 +463,7 @@ impl StreamingProfile {
             }
         };
         let out = self.run_precalc_tile::<M>(&pre, tile)?;
-        self.extend_cache::<P>(Side::Reference, old_reference_len);
+        self.extend_cache::<P>(grown, old_len);
         Ok(out)
     }
 
@@ -543,77 +487,66 @@ impl StreamingProfile {
         }
     }
 
-    /// Execute a tile from its precalculation with the driver's resilience
-    /// semantics: inject the fault plan's planned fault for this arrival
-    /// index, validate the result plane (when clamping is on), and retry
-    /// with capped exponential backoff up to `cfg.tile_retries`.
+    /// Execute a tile from its precalculation through the one-device tile
+    /// engine: the fault plan's planned fault for this arrival index, the
+    /// validation gate and the deadline, retried with capped exponential
+    /// backoff up to `cfg.tile_retries`.
     fn run_precalc_tile<M: Real>(
         &mut self,
         pre: &TilePrecalc,
         tile: &Tile,
     ) -> Result<MatrixProfile, MdmpError> {
-        let kahan = self.cfg.mode.compensated_precalc();
-        let value_bound = max_profile_value(self.cfg.m);
-        let mut attempt: u32 = 0;
-        loop {
-            let started = Instant::now();
-            let fault = self
-                .cfg
-                .fault_plan
-                .as_deref()
-                .and_then(|plan| plan.tile_fault(tile.index, attempt));
-            let result: Result<MatrixProfile, TileError> = (|| {
-                match fault {
-                    Some(FaultKind::Kernel) => return Err(TileError::Kernel { tile: tile.index }),
-                    Some(FaultKind::Stall { millis }) => {
-                        std::thread::sleep(Duration::from_millis(millis))
-                    }
-                    _ => {}
-                }
-                let mut out = execute_tile_from_precalc::<M>(pre, tile, &self.cfg, kahan, false);
-                if let Some(kind) = fault {
-                    apply_plane_fault(&mut out.profile, kind);
-                }
-                if self.cfg.clamp {
-                    if let Err(violation) = validate_profile_plane(&out.profile, value_bound) {
-                        return Err(TileError::PoisonedPlane {
-                            tile: tile.index,
-                            violation,
-                        });
-                    }
-                }
-                if let Some(deadline) = self.cfg.tile_deadline {
-                    let elapsed = started.elapsed();
-                    if elapsed > deadline {
-                        return Err(TileError::Timeout {
-                            tile: tile.index,
-                            elapsed_ms: elapsed.as_millis() as u64,
-                            deadline_ms: deadline.as_millis() as u64,
-                        });
-                    }
-                }
-                Ok(out.profile)
-            })();
-            match result {
-                Ok(profile) => return Ok(profile),
-                Err(source) => {
-                    if attempt >= self.cfg.tile_retries {
-                        return Err(MdmpError::TileFailed {
-                            tile: tile.index,
-                            attempts: attempt + 1,
-                            source,
-                        });
-                    }
-                    self.stats.tile_retries += 1;
-                    std::thread::sleep(retry_backoff(
-                        self.cfg.tile_retry_base,
-                        self.cfg.tile_retry_cap,
-                        attempt,
-                    ));
-                    attempt += 1;
-                }
+        let cfg = &self.cfg;
+        let kahan = cfg.mode.compensated_precalc();
+        let engine = TileEngine::single_device(cfg);
+        let result = engine.run(tile, || {
+            let out = execute_tile_from_precalc::<M>(pre, tile, cfg, kahan, false);
+            (out, false)
+        });
+        self.stats.tile_retries += engine.tile_retries();
+        result.map(|(out, _, _)| out.profile)
+    }
+}
+
+/// A session tile step, visited with the mode's types.
+struct SessionTile<'a> {
+    sp: &'a mut StreamingProfile,
+    tile: &'a Tile,
+    step: Step,
+}
+
+enum Step {
+    Initial,
+    Append { grown: Side, old_len: usize },
+}
+
+impl ModeVisitor for SessionTile<'_> {
+    type Output = Result<MatrixProfile, MdmpError>;
+    fn visit<P: Real, M: Real>(self) -> Self::Output {
+        match self.step {
+            Step::Initial => self.sp.initial_generic::<P, M>(self.tile),
+            Step::Append { grown, old_len } => {
+                self.sp.append_generic::<P, M>(self.tile, grown, old_len)
             }
         }
+    }
+}
+
+/// [`StreamingProfile::replay_tile`]'s arguments, visited with the mode's
+/// types.
+struct Replay<'a> {
+    reference: &'a MultiDimSeries,
+    query: &'a MultiDimSeries,
+    tile: &'a Tile,
+    cfg: &'a MdmpConfig,
+}
+
+impl ModeVisitor for Replay<'_> {
+    type Output = MatrixProfile;
+    fn visit<P: Real, M: Real>(self) -> MatrixProfile {
+        let kahan = self.cfg.mode.compensated_precalc();
+        let pre = compute_tile_precalc::<P>(self.reference, self.query, self.tile, self.cfg, kahan);
+        execute_tile_from_precalc::<M>(&pre, self.tile, self.cfg, kahan, false).profile
     }
 }
 
@@ -659,9 +592,11 @@ mod tests {
     use super::*;
     use crate::driver::run_with_mode;
     use mdmp_data::synthetic::{generate_pair, Pattern, SyntheticConfig};
-    use mdmp_faults::FaultPlan;
+    use mdmp_faults::{FaultKind, FaultPlan};
     use mdmp_gpu_sim::{DeviceSpec, GpuSystem};
+    use mdmp_precision::PrecisionMode;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn series_pair(n: usize) -> (MultiDimSeries, MultiDimSeries) {
         let pair = generate_pair(&SyntheticConfig {

@@ -537,7 +537,7 @@ mod tests {
     use super::*;
     use crate::tiling::compute_tile_list;
     use mdmp_data::stats::znorm_distance;
-    use mdmp_precision::{Half, PrecisionMode};
+    use mdmp_precision::{Half, ModeVisitor, PrecisionMode};
 
     fn series(seed: u64, d: usize, len: usize) -> MultiDimSeries {
         let dims: Vec<Vec<f64>> = (0..d)
@@ -711,23 +711,20 @@ mod tests {
     /// Execute one small tile in `mode` and return its (validated-clean)
     /// profile for the gate tests to corrupt.
     fn tile_profile(mode: PrecisionMode) -> (MatrixProfile, f64) {
-        let m = 10;
-        let r = series(1, 2, 80);
-        let q = series(5, 2, 70);
-        let tile = compute_tile_list(r.n_segments(m), q.n_segments(m), 1).unwrap()[0];
-        let cfg = MdmpConfig::new(m, mode);
-        let out = match mode {
-            PrecisionMode::Fp64 => execute_tile::<f64, f64>(&r, &q, &tile, &cfg, false),
-            PrecisionMode::Fp32 => execute_tile::<f32, f32>(&r, &q, &tile, &cfg, false),
-            PrecisionMode::Fp16 => execute_tile::<Half, Half>(&r, &q, &tile, &cfg, false),
-            PrecisionMode::Mixed => execute_tile::<f32, Half>(&r, &q, &tile, &cfg, false),
-            PrecisionMode::Fp16c => execute_tile::<Half, Half>(&r, &q, &tile, &cfg, true),
-            PrecisionMode::Fp16Tc | PrecisionMode::Bf16Tc | PrecisionMode::Tf32Tc => {
-                execute_tile::<f32, f32>(&r, &q, &tile, &cfg, false)
+        struct SmallTile(MdmpConfig);
+        impl ModeVisitor for SmallTile {
+            type Output = MatrixProfile;
+            fn visit<P: Real, M: Real>(self) -> MatrixProfile {
+                let (cfg, m) = (&self.0, self.0.m);
+                let r = series(1, 2, 80);
+                let q = series(5, 2, 70);
+                let tile = compute_tile_list(r.n_segments(m), q.n_segments(m), 1).unwrap()[0];
+                execute_tile::<P, M>(&r, &q, &tile, cfg, cfg.mode.compensated_precalc()).profile
             }
-            _ => unreachable!("gate tests cover the paper and TC modes"),
-        };
-        (out.profile, max_profile_value(m))
+        }
+        let m = 10;
+        let profile = mode.dispatch(SmallTile(MdmpConfig::new(m, mode)));
+        (profile, max_profile_value(m))
     }
 
     const PAPER_MODES: [PrecisionMode; 5] = [
@@ -740,7 +737,7 @@ mod tests {
 
     #[test]
     fn gate_passes_clean_planes_in_every_mode() {
-        for mode in PAPER_MODES.into_iter().chain(PrecisionMode::TC_MODES) {
+        for mode in PrecisionMode::ALL {
             let (profile, bound) = tile_profile(mode);
             assert!(
                 validate_profile_plane(&profile, bound).is_ok(),
@@ -751,7 +748,7 @@ mod tests {
 
     #[test]
     fn gate_catches_nan_and_inf_in_every_mode() {
-        for mode in PAPER_MODES.into_iter().chain(PrecisionMode::TC_MODES) {
+        for mode in PrecisionMode::ALL {
             let (clean, bound) = tile_profile(mode);
             let mut poisoned = clean.clone();
             apply_plane_fault(&mut poisoned, FaultKind::PoisonNan);

@@ -375,7 +375,11 @@ impl<const E: u32, const M: u32> fmt::Display for Flex<E, M> {
 }
 
 impl<const E: u32, const M: u32> crate::Real for Flex<E, M> {
-    const NAME: &'static str = "FLEX";
+    const NAME: &'static str = match (E, M) {
+        (4, 3) => "FP8-E4M3",
+        (5, 2) => "FP8-E5M2",
+        _ => "FLEX",
+    };
     const BYTES: usize = if 1 + E + M <= 8 {
         1
     } else if 1 + E + M <= 16 {

@@ -17,7 +17,9 @@
 //! * [`KahanSum`] — compensated summation used by the paper's FP16C mode in
 //!   the precalculation step;
 //! * [`PrecisionMode`] — the run-time mode selector (storage format of the
-//!   main loop + precalculation format + compensation flag);
+//!   main loop + precalculation format + compensation flag), whose
+//!   [`PrecisionMode::dispatch`] runs a [`ModeVisitor`] with the mode's
+//!   scalar types;
 //! * [`analysis`] — the `e ∝ n·ε` dot-product error-bound model (§V-B of the
 //!   paper, after Yang et al.) used to reason about tile sizes.
 //!
@@ -56,7 +58,7 @@ pub use bf16::Bf16;
 pub use f16::Half;
 pub use flex::{Flex, Fp8E4M3, Fp8E5M2};
 pub use kahan::{kahan_dot, kahan_sum, plain_dot, KahanSum};
-pub use mode::{Format, PrecisionMode};
+pub use mode::{Format, ModeVisitor, PrecisionMode};
 pub use real::{convert_slice, widen_slice, Real};
 pub use stochastic::{round_stochastic, SrRng, StochasticSum};
 pub use tf32::Tf32;

@@ -22,6 +22,7 @@
 //! products accumulate in FP32 in hardware-sized chunks (Khattak &
 //! Mikaitis). [`PrecisionMode::tc_input`] exposes the input format.
 
+use crate::{Bf16, Fp8E4M3, Fp8E5M2, Half, Real, Tf32};
 use core::fmt;
 use core::str::FromStr;
 
@@ -233,6 +234,44 @@ impl PrecisionMode {
     }
 }
 
+/// A computation generic over a precision mode's scalar types: `P` for the
+/// precalculation, `M` for the main loop. [`PrecisionMode::dispatch`]
+/// picks the pair, so every mode-generic entry point shares one type table.
+pub trait ModeVisitor {
+    /// What the computation returns.
+    type Output;
+    /// Run the computation with precalculation type `P` and main-loop type
+    /// `M`.
+    fn visit<P: Real, M: Real>(self) -> Self::Output;
+}
+
+impl PrecisionMode {
+    /// The mode → `(P, M)` type table: run `visitor` with the mode's
+    /// precalculation and main-loop scalar types. Monomorphised per pair,
+    /// so the dispatch costs one `match`.
+    ///
+    /// FP16C shares FP16's types; its Kahan compensation is
+    /// [`PrecisionMode::compensated_precalc`]. The tensor-core modes run
+    /// their vector arithmetic in FP32; the GEMM narrows operands per MMA
+    /// (see [`PrecisionMode::tc_input`]).
+    pub fn dispatch<V: ModeVisitor>(self, visitor: V) -> V::Output {
+        match self {
+            PrecisionMode::Fp64 => visitor.visit::<f64, f64>(),
+            PrecisionMode::Fp32 => visitor.visit::<f32, f32>(),
+            PrecisionMode::Fp16 | PrecisionMode::Fp16c => visitor.visit::<Half, Half>(),
+            PrecisionMode::Mixed => visitor.visit::<f32, Half>(),
+            PrecisionMode::Bf16 => visitor.visit::<Bf16, Bf16>(),
+            PrecisionMode::Tf32 => visitor.visit::<Tf32, Tf32>(),
+            // FP8 extension modes: FP32 precalculation by construction.
+            PrecisionMode::Fp8E4M3 => visitor.visit::<f32, Fp8E4M3>(),
+            PrecisionMode::Fp8E5M2 => visitor.visit::<f32, Fp8E5M2>(),
+            PrecisionMode::Fp16Tc | PrecisionMode::Bf16Tc | PrecisionMode::Tf32Tc => {
+                visitor.visit::<f32, f32>()
+            }
+        }
+    }
+}
+
 impl fmt::Display for PrecisionMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
@@ -317,6 +356,25 @@ mod tests {
         assert_eq!(PrecisionMode::Tf32Tc.tc_input(), Some(Format::Tf32));
         for mode in PrecisionMode::PAPER_MODES {
             assert!(!mode.uses_tensor_cores());
+        }
+    }
+
+    #[test]
+    fn dispatch_types_match_declared_formats() {
+        struct Names;
+        impl ModeVisitor for Names {
+            type Output = [(&'static str, usize); 2];
+            fn visit<P: Real, M: Real>(self) -> Self::Output {
+                [(P::NAME, P::BYTES), (M::NAME, M::BYTES)]
+            }
+        }
+        for mode in PrecisionMode::ALL {
+            let [(p_name, p_bytes), (m_name, m_bytes)] = mode.dispatch(Names);
+            let (pre, main) = (mode.precalc_format(), mode.main_format());
+            assert_eq!(p_name, pre.to_string(), "{mode}: precalc type");
+            assert_eq!(p_bytes, pre.bytes(), "{mode}: precalc bytes");
+            assert_eq!(m_name, main.to_string(), "{mode}: main-loop type");
+            assert_eq!(m_bytes, main.bytes(), "{mode}: main-loop bytes");
         }
     }
 

@@ -11,7 +11,10 @@
 //! 3. A failed job is reported over the JSON-lines wire, and the
 //!    resilience counters show up on the Prometheus metrics page.
 
-use mdmp_core::{run_with_mode, MatrixProfile, MdmpConfig, MdmpError, TileError};
+use mdmp_core::{
+    job_tile_count, run_tile_subset, run_with_mode, MatrixProfile, MdmpConfig, MdmpError,
+    TileError, TileSubsetRun,
+};
 use mdmp_data::MultiDimSeries;
 use mdmp_faults::{FaultKind, FaultPlan};
 use mdmp_gpu_sim::{DeviceSpec, GpuSystem};
@@ -56,6 +59,29 @@ fn run(
 ) -> Result<mdmp_core::MdmpRun, MdmpError> {
     let mut system = GpuSystem::homogeneous(DeviceSpec::a100(), gpus);
     run_with_mode(reference, query, cfg, &mut system)
+}
+
+/// Every tile of the job through the remote-subset path, one node.
+fn run_subset(
+    reference: &MultiDimSeries,
+    query: &MultiDimSeries,
+    cfg: &MdmpConfig,
+    gpus: usize,
+) -> Result<TileSubsetRun, MdmpError> {
+    let m = cfg.m;
+    let n_tiles = job_tile_count(reference.n_segments(m), query.n_segments(m), cfg)?;
+    let indices: Vec<usize> = (0..n_tiles).collect();
+    let mut system = GpuSystem::homogeneous(DeviceSpec::a100(), gpus);
+    run_tile_subset(reference, query, cfg, &mut system, None, &indices)
+}
+
+/// A subset run's tiles min-merged in tile order, as a coordinator does.
+fn merged(run: &TileSubsetRun, n_query: usize, dims: usize) -> MatrixProfile {
+    let mut profile = MatrixProfile::new_unset(n_query, dims);
+    for t in &run.results {
+        profile.merge_min_columns(&t.profile, t.tile.col0);
+    }
+    profile
 }
 
 /// Bit-identical comparison: values by their f64 bit patterns, indices
@@ -129,7 +155,7 @@ proptest! {
 
     /// Property: when every attempt faults and the retry budget runs out,
     /// the run fails with a typed per-tile error — it never returns a
-    /// partial profile.
+    /// partial profile — on the driver and the remote-subset path alike.
     #[test]
     fn exhausted_retries_fail_typed_never_partial(
         seed in 0u64..10_000,
@@ -154,12 +180,22 @@ proptest! {
             }
             other => prop_assert!(false, "expected TileFailed, got {:?}", other.map(|r| r.profile.n_query())),
         }
+        match run_subset(&reference, &reference, &cfg, 2) {
+            Err(MdmpError::TileFailed { tile: t, attempts, source }) => {
+                prop_assert_eq!(t, tile);
+                prop_assert_eq!(attempts, 2);
+                let is_kernel = matches!(source, TileError::Kernel { .. });
+                prop_assert!(is_kernel, "subset source was {}", source);
+            }
+            other => prop_assert!(false, "subset: expected TileFailed, got {:?}", other.map(|r| r.results.len())),
+        }
     }
 }
 
 /// Acceptance scenario: a seeded plan injecting one kernel failure, one
 /// stall past the deadline, and one poisoned plane recovers to a
-/// bit-identical profile in every paper mode.
+/// bit-identical profile in every paper mode — through the driver and
+/// through the remote-subset path, with the same resilience tallies.
 #[test]
 fn kernel_stall_and_poison_recover_bit_identical_in_all_modes() {
     let reference = series(11, 90, 2);
@@ -189,6 +225,25 @@ fn kernel_stall_and_poison_recover_bit_identical_in_all_modes() {
         assert_eq!(faulted.tile_retries, 3, "{mode}");
         assert_eq!(faulted.plane_validation_failures, 1, "{mode}");
         assert_bit_identical(&clean.profile, &faulted.profile, &format!("{mode}"));
+
+        let subset = run_subset(
+            &reference,
+            &query,
+            &cfg.clone()
+                .with_fault_plan(Some(Arc::clone(&plan)))
+                .with_tile_deadline(Some(Duration::from_millis(250))),
+            2,
+        )
+        .unwrap();
+        assert_eq!(subset.faults_injected, 3, "{mode} subset");
+        assert_eq!(subset.tile_retries, 3, "{mode} subset");
+        assert_eq!(subset.plane_validation_failures, 1, "{mode} subset");
+        let (n_query, dims) = (clean.profile.n_query(), clean.profile.dims());
+        assert_bit_identical(
+            &clean.profile,
+            &merged(&subset, n_query, dims),
+            &format!("{mode} subset"),
+        );
     }
 }
 
