@@ -117,11 +117,12 @@ const POWI_FREE_FILES: [&str; 5] = [
 
 /// Service, cluster and core modules on the request path (R4 scope): code
 /// a remote client's request flows through must return typed errors, never
-/// panic. `remote.rs` serves the `tile_exec` op and `engine.rs` runs every
-/// served tile's attempt loop.
-const REQUEST_PATH_MODULES: [&str; 11] = [
+/// panic. `request.rs` decodes every request, `remote.rs` serves the
+/// `tile_exec` op and `engine.rs` runs every served tile's attempt loop.
+const REQUEST_PATH_MODULES: [&str; 12] = [
     "crates/service/src/scheduler.rs",
     "crates/service/src/server.rs",
+    "crates/service/src/request.rs",
     "crates/service/src/session.rs",
     "crates/service/src/cache.rs",
     "crates/service/src/wire.rs",
@@ -1079,6 +1080,7 @@ mod tests {
     fn r4_scope_is_request_path_modules_only() {
         let src = "let g = m.lock().unwrap();\n";
         assert_eq!(run("crates/service/src/scheduler.rs", src).len(), 1);
+        assert_eq!(run("crates/service/src/request.rs", src).len(), 1);
         assert_eq!(run("crates/core/src/streaming.rs", src).len(), 1);
         assert_eq!(run("crates/service/src/metrics.rs", src).len(), 0);
     }

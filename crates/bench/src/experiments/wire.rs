@@ -4,9 +4,10 @@
 //! both transports, written as `BENCH_PR9.json` through the shared
 //! [`BenchReport`] schema.
 //!
-//! The encoding table serializes the *same* profile planes three ways —
-//! the exact `tile_exec` reply shapes the server emits — so the byte
-//! counts are the real wire costs, not synthetic estimates. The cluster
+//! The encoding table builds one tile's `tile_exec` reply with the
+//! service's own reply encoder and serializes it three ways — JSON line,
+//! wide frame, narrowed frame — so the byte counts are the real wire
+//! costs of what a node sends, not synthetic estimates. The cluster
 //! table re-runs the 12-tile FP32 job of `cluster_scaling` with the
 //! coordinator forced onto JSON lines and with the binary upgrade
 //! negotiated; the modelled device clock keeps `scaling_vs_1`
@@ -20,9 +21,10 @@
 
 use crate::report::{BenchReport, BenchValue, ExperimentTable};
 use mdmp_cluster::{run_cluster, ClusterConfig, ClusterRun};
+use mdmp_core::{run_tile_subset, MdmpConfig, TileSubsetRun};
 use mdmp_service::{
-    encode_index_plane_hex, encode_plane_hex, narrowest_width, serve, Chunk, FrameCodec, JobInput,
-    JobSpec, Json, Message, Priority, Server, Service, ServiceConfig, WirePreference,
+    narrowest_width, serve, tile_exec_reply, Chunk, FrameCodec, JobInput, JobSpec, Message,
+    Priority, Server, Service, ServiceConfig, WirePreference,
 };
 use std::io;
 use std::path::{Path, PathBuf};
@@ -71,52 +73,13 @@ pub struct WireOutcome {
     pub scaling_vs_1_at_3: f64,
 }
 
-/// Run one mode locally and return its profile planes in the k-major
-/// order `tile_exec` ships them.
-fn planes(quick: bool, mode: &str) -> (Vec<f64>, Vec<i64>) {
+/// Run one mode as a one-tile subset, as a node runs a `tile_exec` lease.
+fn tile_run(quick: bool, mode: &str) -> TileSubsetRun {
     let spec = spec(quick, mode);
     let (reference, query) = spec.materialize().expect("materialize");
-    let profile = crate::experiments::run_profile(&reference, &query, spec.m, spec.mode, 1);
-    let mut values = Vec::new();
-    let mut indices = Vec::new();
-    mdmp_core::profile_planes_k_major(&profile, &mut values, &mut indices);
-    (values, indices)
-}
-
-/// The JSON-lines form of a tile result carrying these planes, exactly as
-/// [`mdmp_service`]'s `tile_exec` emits it (header fields + hex planes).
-fn json_reply(values: &[f64], indices: &[i64]) -> String {
-    let obj = Json::obj(vec![
-        ("tile", Json::num(0.0)),
-        ("col0", Json::num(0.0)),
-        ("n_query", Json::num((values.len() / 2) as f64)),
-        ("dims", Json::num(2.0)),
-        ("p_hex", Json::str(encode_plane_hex(values))),
-        ("i_hex", Json::str(encode_index_plane_hex(indices))),
-    ]);
-    let mut line = obj.to_string();
-    line.push('\n');
-    line
-}
-
-/// The binary-frame form of the same tile result (chunk-referenced
-/// planes), encoded wide or narrowed.
-fn frame_reply(codec: &mut FrameCodec, values: &[f64], indices: &[i64], narrow: bool) -> usize {
-    let msg = Message {
-        json: Json::obj(vec![
-            ("tile", Json::num(0.0)),
-            ("col0", Json::num(0.0)),
-            ("n_query", Json::num((values.len() / 2) as f64)),
-            ("dims", Json::num(2.0)),
-            ("p_chunk", Json::num(0.0)),
-            ("i_chunk", Json::num(1.0)),
-        ]),
-        chunks: vec![Chunk::F64(values.to_vec()), Chunk::I64(indices.to_vec())],
-    };
-    codec
-        .encode(&msg, narrow)
-        .expect("encode bench frame")
-        .len()
+    let cfg = MdmpConfig::new(spec.m, spec.mode);
+    let mut system = crate::experiments::a100();
+    run_tile_subset(&reference, &query, &cfg, &mut system, None, &[0]).expect("run tile")
 }
 
 /// Encoding-cost table: one row per precision family, measuring the same
@@ -140,16 +103,29 @@ fn encoding_table(quick: bool) -> (ExperimentTable, f64) {
         ],
     );
     let mut codec = FrameCodec::new();
+    let mut frame_bytes = |reply: &Message, narrow: bool| {
+        codec
+            .encode(reply, narrow)
+            .expect("encode bench frame")
+            .len()
+    };
     let mut f32_reduction = 0.0;
     for mode in ["fp64", "fp32", "fp16"] {
-        let (values, indices) = planes(quick, mode);
-        let json_bytes = json_reply(&values, &indices).len();
-        let wide = frame_reply(&mut codec, &values, &indices, false);
-        let narrow = frame_reply(&mut codec, &values, &indices, true);
+        // The service's own reply encoder builds both forms; a JSON-lines
+        // reply is its text plus the newline.
+        let run = tile_run(quick, mode);
+        let json_bytes = tile_exec_reply(&run, false).json.to_string().len() + 1;
+        let reply = tile_exec_reply(&run, true);
+        let (elements, width) = match reply.chunks.first() {
+            Some(Chunk::F64(values)) => (values.len(), narrowest_width(values)),
+            _ => panic!("binary tile_exec reply leads with the value plane"),
+        };
+        let wide = frame_bytes(&reply, false);
+        let narrow = frame_bytes(&reply, true);
         let start = Instant::now();
         let reps = 32;
         for _ in 0..reps {
-            frame_reply(&mut codec, &values, &indices, true);
+            frame_bytes(&reply, true);
         }
         let encode_us = start.elapsed().as_secs_f64() * 1e6 / reps as f64;
         let reduction = json_bytes as f64 / narrow as f64;
@@ -159,8 +135,8 @@ fn encoding_table(quick: bool) -> (ExperimentTable, f64) {
         table.push(
             mode,
             vec![
-                values.len() as f64,
-                narrowest_width(&values) as f64,
+                elements as f64,
+                width as f64,
                 json_bytes as f64,
                 wide as f64,
                 narrow as f64,

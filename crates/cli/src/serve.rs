@@ -6,8 +6,7 @@ use crate::commands::device_spec;
 use mdmp_data::io as data_io;
 use mdmp_data::MultiDimSeries;
 use mdmp_service::{
-    request, serve as serve_tcp, wire_preference, Chunk, Json, Message, Service, ServiceConfig,
-    WireConn,
+    request, serve as serve_tcp, wire_preference, Json, Message, Service, ServiceConfig, WireConn,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -230,29 +229,9 @@ fn print_job(job: &Json) {
     }
 }
 
-/// A window of a series as the JSON wire form: one array of samples per
-/// dimension.
-fn samples_json(series: &MultiDimSeries, start: usize, len: usize) -> Json {
-    Json::Arr(
-        (0..series.dims())
-            .map(|k| {
-                Json::Arr(
-                    series.dim(k)[start..start + len]
-                        .iter()
-                        .map(|&v| Json::num(v))
-                        .collect(),
-                )
-            })
-            .collect(),
-    )
-}
-
-/// A window of a series as binary chunks: one float chunk per dimension,
-/// appended to `out`.
-fn samples_chunks(series: &MultiDimSeries, start: usize, len: usize, out: &mut Vec<Chunk>) {
-    for k in 0..series.dims() {
-        out.push(Chunk::F64(series.dim(k)[start..start + len].to_vec()));
-    }
+/// A window of a series: one sample slice per dimension.
+fn window(series: &MultiDimSeries, start: usize, len: usize) -> impl Iterator<Item = &[f64]> {
+    (0..series.dims()).map(move |k| &series.dim(k)[start..start + len])
 }
 
 /// One request/response on the streaming session's persistent connection,
@@ -291,29 +270,14 @@ pub fn stream(args: &ParsedArgs) -> CmdResult {
     // One persistent connection for the whole session; binary frames when
     // the server accepts the upgrade (MDMP_WIRE=json forces JSON lines).
     let mut conn = WireConn::connect(&addr, None, wire_preference()).map_err(err)?;
-    let open = if conn.is_binary() {
-        let mut chunks = Vec::with_capacity(reference.dims() + query.dims());
-        samples_chunks(&reference, 0, reference.len(), &mut chunks);
-        samples_chunks(&query, 0, initial, &mut chunks);
-        Message {
-            json: Json::obj(vec![
-                ("op", Json::str("stream_open")),
-                ("m", Json::num(m as f64)),
-                ("mode", Json::str(mode)),
-                ("reference_chunks", Json::num(reference.dims() as f64)),
-                ("query_chunks", Json::num(query.dims() as f64)),
-            ]),
-            chunks,
-        }
-    } else {
-        Message::json(Json::obj(vec![
-            ("op", Json::str("stream_open")),
-            ("m", Json::num(m as f64)),
-            ("mode", Json::str(mode)),
-            ("reference", samples_json(&reference, 0, reference.len())),
-            ("query", samples_json(&query, 0, initial)),
-        ]))
-    };
+    let binary = conn.is_binary();
+    let open = Message::json(Json::obj(vec![
+        ("op", Json::str("stream_open")),
+        ("m", Json::num(m as f64)),
+        ("mode", Json::str(mode)),
+    ]))
+    .with_series("reference", window(&reference, 0, reference.len()), binary)
+    .with_series("query", window(&query, 0, initial), binary);
     let response = stream_request(&mut conn, &open)?;
     let session = response
         .get("session")
@@ -322,7 +286,7 @@ pub fn stream(args: &ParsedArgs) -> CmdResult {
         .ok_or("malformed response: no session id")?;
     println!(
         "session {session} open ({} wire): {} reference segments, {} of {} query samples",
-        if conn.is_binary() { "binary" } else { "json" },
+        if binary { "binary" } else { "json" },
         reference.len() + 1 - m,
         initial,
         query.len()
@@ -331,26 +295,12 @@ pub fn stream(args: &ParsedArgs) -> CmdResult {
     let mut at = initial;
     while at < query.len() {
         let len = chunk.min(query.len() - at);
-        let append = if conn.is_binary() {
-            let mut chunks = Vec::with_capacity(query.dims());
-            samples_chunks(&query, at, len, &mut chunks);
-            Message {
-                json: Json::obj(vec![
-                    ("op", Json::str("stream_append")),
-                    ("session", Json::num(session as f64)),
-                    ("side", Json::str("query")),
-                    ("samples_chunks", Json::num(query.dims() as f64)),
-                ]),
-                chunks,
-            }
-        } else {
-            Message::json(Json::obj(vec![
-                ("op", Json::str("stream_append")),
-                ("session", Json::num(session as f64)),
-                ("side", Json::str("query")),
-                ("samples", samples_json(&query, at, len)),
-            ]))
-        };
+        let append = Message::json(Json::obj(vec![
+            ("op", Json::str("stream_append")),
+            ("session", Json::num(session as f64)),
+            ("side", Json::str("query")),
+        ]))
+        .with_series("samples", window(&query, at, len), binary);
         let response = stream_request(&mut conn, &append)?;
         at += len;
         let field = |k: &str| response.get(k).and_then(Json::as_f64).unwrap_or(0.0);

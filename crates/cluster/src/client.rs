@@ -6,8 +6,7 @@
 //! transport — binary chunks, or the hex `f64`/`i64` encodings.
 
 use mdmp_service::{
-    decode_index_plane_hex, decode_plane_hex, wire_preference, Chunk, Json, Message, WireConn,
-    WireError, WirePreference,
+    take_planes, wire_preference, Chunk, Json, Message, WireConn, WireError, WirePreference,
 };
 use std::time::Duration;
 
@@ -233,27 +232,9 @@ pub fn tile_exec_request(job: &Json, tile: usize) -> Json {
     ])
 }
 
-fn take_chunk(
-    entry: &Json,
-    chunks: &mut [Option<Chunk>],
-    field: &str,
-) -> Result<Option<Chunk>, String> {
-    let Some(index) = entry.get(field).and_then(Json::as_u64) else {
-        return Ok(None);
-    };
-    let slot = chunks
-        .get_mut(index as usize)
-        .ok_or_else(|| format!("'{field}' points past the frame's chunks"))?;
-    slot.take()
-        .map(Some)
-        .ok_or_else(|| format!("'{field}' reuses an already-consumed chunk"))
-}
-
 /// Decode one entry of a `tile_exec` reply's `tiles` array. `chunks` are
-/// the reply frame's chunk slots (empty on a JSON-lines reply); each
-/// `p_chunk`/`i_chunk` reference consumes its slot. The JSON forms —
-/// `p_hex`/`i_hex`, and the pre-PR9 `i` number array — decode from the
-/// entry itself.
+/// the reply frame's chunk slots (empty on a JSON-lines reply); the planes
+/// are read through [`take_planes`], chunk references or hex strings.
 pub fn decode_tile(entry: &Json, chunks: &mut [Option<Chunk>]) -> Result<DecodedTile, String> {
     let field = |name: &str| -> Result<u64, String> {
         entry
@@ -268,53 +249,7 @@ pub fn decode_tile(entry: &Json, chunks: &mut [Option<Chunk>]) -> Result<Decoded
     let len = n_query
         .checked_mul(dims)
         .ok_or_else(|| "tile plane size overflows".to_string())?;
-    let p = match take_chunk(entry, chunks, "p_chunk")? {
-        Some(Chunk::F64(plane)) => plane,
-        Some(Chunk::I64(_)) => return Err("'p_chunk' names an index chunk".into()),
-        None => {
-            let p_hex = entry
-                .get("p_hex")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "tile entry missing 'p_chunk'/'p_hex'".to_string())?;
-            decode_plane_hex(p_hex, len)?
-        }
-    };
-    if p.len() != len {
-        return Err(format!(
-            "value plane has {} elements, expected {len}",
-            p.len()
-        ));
-    }
-    let i = match take_chunk(entry, chunks, "i_chunk")? {
-        Some(Chunk::I64(plane)) => plane,
-        Some(Chunk::F64(_)) => return Err("'i_chunk' names a float chunk".into()),
-        None => {
-            if let Some(i_hex) = entry.get("i_hex").and_then(Json::as_str) {
-                decode_index_plane_hex(i_hex, len)?
-            } else {
-                // Pre-PR9 workers ship the index plane as a JSON number
-                // array; keep decoding it so mixed-version clusters work.
-                let raw_i = entry
-                    .get("i")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| "tile entry missing 'i_chunk'/'i_hex'/'i'".to_string())?;
-                let mut i = Vec::with_capacity(raw_i.len());
-                for v in raw_i {
-                    let x = v
-                        .as_f64()
-                        .ok_or_else(|| "index plane entries must be numbers".to_string())?;
-                    i.push(x as i64);
-                }
-                i
-            }
-        }
-    };
-    if i.len() != len {
-        return Err(format!(
-            "index plane has {} elements, expected {len}",
-            i.len()
-        ));
-    }
+    let (p, i) = take_planes(entry, chunks, len)?;
     let device_seconds = entry
         .get("device_seconds")
         .and_then(Json::as_f64)

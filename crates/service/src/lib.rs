@@ -35,6 +35,7 @@ pub mod metrics;
 pub mod pool;
 pub mod proto;
 pub mod queue;
+mod request;
 pub mod scheduler;
 pub mod server;
 pub mod session;
@@ -47,13 +48,14 @@ pub use metrics::{MetricsRegistry, ServiceStats};
 pub use pool::DevicePool;
 pub use proto::Json;
 pub use queue::{JobQueue, SubmitError};
-pub use scheduler::{Service, ServiceConfig};
-pub use server::{
+pub use request::{
     decode_index_plane_hex, decode_plane_hex, encode_index_plane_hex, encode_plane_hex,
-    parse_job_spec, request, serve, Server,
+    parse_job_spec, take_planes, tile_exec_reply,
 };
+pub use scheduler::{Service, ServiceConfig};
+pub use server::{serve, Server};
 pub use session::{AppendReport, AppendSide, SessionId, SessionManager, SessionSummary};
 pub use wire::{
-    narrowest_width, wire_preference, Chunk, FrameCodec, Message, WireConn, WireError,
+    narrowest_width, request, wire_preference, Chunk, FrameCodec, Message, WireConn, WireError,
     WirePreference,
 };

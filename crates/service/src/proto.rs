@@ -8,6 +8,11 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The protocol
+/// nests at most 4 deep; the cap keeps one hostile line from recursing the
+/// parser off its connection thread's stack.
+pub const MAX_DEPTH: usize = 64;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -94,6 +99,7 @@ impl Json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -165,6 +171,8 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -206,8 +214,20 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                self.pos
+            )),
+            Some(open @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at offset {}", self.pos)),
         }
@@ -377,6 +397,20 @@ mod tests {
         assert_eq!(Json::num(7.0).to_string(), "7");
         assert_eq!(Json::parse("7").unwrap().as_u64(), Some(7));
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed_without_bound() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        // Far past any stack: a typed error, not an overflow.
+        let hostile = format!(
+            "{{\"op\":\"stream_open\",\"reference\":{}",
+            "[".repeat(100_000)
+        );
+        assert!(Json::parse(&hostile).unwrap_err().contains("nesting"));
     }
 
     #[test]

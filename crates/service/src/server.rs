@@ -1,53 +1,29 @@
-//! The TCP front end: a JSON-lines protocol over `std::net` — one request
-//! object per line in, one response object per line out, connections
-//! served by one thread each.
+//! The TCP front end: one thread per connection, each running one loop
+//! over its transport — JSON lines (one request object per line in, one
+//! response object per line out) until a `wire_upgrade`, then the binary
+//! frames of [`crate::wire`] (DESIGN.md §15) until it closes.
 //!
 //! Every request carries an `"op"`; every response carries `"ok"` (bool)
-//! plus either the op's payload or an `"error"` string. Ops:
-//!
-//! | op              | request fields                                         |
-//! |-----------------|--------------------------------------------------------|
-//! | `ping`          | —                                                      |
-//! | `submit`        | `job` object (see [`parse_job_spec`])                  |
-//! | `status`        | `id`                                                   |
-//! | `wait`          | `id`, optional `timeout_seconds`                       |
-//! | `cancel`        | `id`                                                   |
-//! | `stats`         | —                                                      |
-//! | `metrics`       | — (returns the Prometheus text page as a string)       |
-//! | `stream_open`   | `m`, `mode`, `reference`, `query` (arrays of arrays)   |
-//! | `stream_append` | `session`, `side`, `samples` (array per dimension)     |
-//! | `stream_status` | `session`                                              |
-//! | `stream_close`  | `session`                                              |
-//! | `tile_exec`     | `job` object, `tiles` (array of tile indices)          |
-//! | `wire_upgrade`  | `version` — switch the connection to binary frames     |
-//! | `shutdown`      | optional `drain` (default true)                        |
+//! plus either the op's payload or an `"error"` string. The ops and their
+//! fields are tabled in `request.rs`, where each request is decoded once
+//! into a typed `Request` whatever the transport; `handle` answers each
+//! op in one arm, and only the `tile_exec` reply's plane fields depend on
+//! the transport ([`tile_exec_reply`]).
 //!
 //! `tile_exec` is the worker half of the cluster tile-lease protocol
 //! (DESIGN.md §12): it executes the listed tiles of the job synchronously
-//! and returns one entry per tile with the partial profile planes. On the
-//! JSON transport value planes travel as hex-encoded `f64` bit patterns
-//! ([`encode_plane_hex`]) because JSON has no `+Inf` and the unset
-//! sentinel must survive the trip bit-exactly; index planes use the same
-//! cell shape ([`encode_index_plane_hex`]). After a `wire_upgrade`
-//! (DESIGN.md §15, [`crate::wire`]) both planes instead ride as binary
-//! chunks referenced by `p_chunk`/`i_chunk` indices, and streaming series
-//! ride as one chunk per dimension counted by `reference_chunks`/
-//! `query_chunks`/`samples_chunks`.
+//! and returns one entry per tile with the partial profile planes.
 
-use crate::job::{JobInput, JobOutcome, JobSpec, JobStatus, Priority};
+use crate::job::{JobOutcome, JobStatus};
 use crate::proto::Json;
+use crate::request::{error_response, ok_response, tile_exec_reply, Request};
 use crate::scheduler::Service;
-use crate::session::{AppendSide, SessionSummary};
-use crate::wire::{Chunk, FrameCodec, Message, WireError, WIRE_VERSION};
-use mdmp_core::MdmpConfig;
-use mdmp_data::MultiDimSeries;
-use mdmp_faults::FaultPlan;
-use mdmp_precision::PrecisionMode;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use crate::session::{AppendReport, SessionSummary};
+use crate::wire::{FrameCodec, Message, Transport, WireError, WIRE_VERSION};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A running TCP front end.
 pub struct Server {
@@ -135,28 +111,13 @@ pub fn serve(service: Arc<Service>, addr: &str) -> io::Result<Server> {
     })
 }
 
-/// The metric label for a request's op — a fixed vocabulary so the
-/// labeled byte counters can use `&'static str` keys without leaking
-/// attacker-chosen label values into the metrics page.
-fn op_label(json: Option<&Json>) -> &'static str {
-    match json.and_then(|j| j.get("op")).and_then(Json::as_str) {
-        Some("ping") => "ping",
-        Some("submit") => "submit",
-        Some("status") => "status",
-        Some("wait") => "wait",
-        Some("cancel") => "cancel",
-        Some("stats") => "stats",
-        Some("metrics") => "metrics",
-        Some("stream_open") => "stream_open",
-        Some("stream_append") => "stream_append",
-        Some("stream_status") => "stream_status",
-        Some("stream_close") => "stream_close",
-        Some("tile_exec") => "tile_exec",
-        Some("wire_upgrade") => "wire_upgrade",
-        Some("shutdown") => "shutdown",
-        Some(_) => "other",
-        None => "invalid",
-    }
+/// What the connection does once a reply is written.
+enum Next {
+    Serve,
+    /// Switch to binary frames (a successful `wire_upgrade`).
+    Upgrade,
+    /// A `shutdown` was served: mark it and close.
+    Close,
 }
 
 fn handle_connection(
@@ -169,367 +130,202 @@ fn handle_connection(
     let _ = stream.set_nodelay(true);
     let mut writer = BufWriter::new(stream.try_clone()?);
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(());
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = Json::parse(line.trim());
-        let label = op_label(parsed.as_ref().ok());
-        service
-            .metrics
-            .wire_bytes_received
-            .add("json", label, line.len() as u64);
-        if label == "wire_upgrade" {
-            let version = parsed
-                .as_ref()
-                .ok()
-                .and_then(|r| r.get("version"))
-                .and_then(Json::as_u64)
-                .unwrap_or(u64::from(WIRE_VERSION));
-            if version != u64::from(WIRE_VERSION) {
-                let response = error_response(&format!("unsupported wire version {version}"));
-                write_json_line(service, &mut writer, &response, label)?;
-                continue;
-            }
-            let response = ok_response(vec![
-                ("wire", Json::str("binary")),
-                ("version", Json::num(f64::from(WIRE_VERSION))),
-            ]);
-            write_json_line(service, &mut writer, &response, label)?;
-            // From here on the connection speaks frames until it closes.
-            service.metrics.wire_binary_sessions.inc();
-            let result = serve_binary(service, &mut reader, &mut writer, stop, served_shutdown);
-            service.metrics.wire_binary_sessions.dec();
-            return result;
-        }
-        let mut shutdown_done = false;
-        let response = match &parsed {
-            Ok(request) => match dispatch(service, request, stop) {
-                // An injected connection fault: sever the stream without a
-                // response line, as a crashed server would.
-                Reply::Drop => return Ok(()),
-                Reply::Json(response) => {
-                    shutdown_done = label == "shutdown"
-                        && response.get("ok").and_then(Json::as_bool) == Some(true);
-                    response
-                }
-            },
-            Err(e) => error_response(&format!("bad request: {e}")),
-        };
-        let written = write_json_line(service, &mut writer, &response, label);
-        if shutdown_done {
-            // Mark the shutdown as served only after the response reached
-            // the socket (or the write definitively failed), so a host
-            // waiting on `Server::shutdown_served` never exits while the
-            // reply is still in flight.
-            served_shutdown.store(true, Ordering::SeqCst);
-            return written;
-        }
-        written?;
+    let mut transport = Transport::Lines(Vec::new());
+    let result = serve_requests(
+        service,
+        &mut reader,
+        &mut writer,
+        &mut transport,
+        stop,
+        served_shutdown,
+    );
+    if let Transport::Frames(_) = transport {
+        service.metrics.wire_binary_sessions.dec();
     }
+    result
 }
 
-fn write_json_line(
-    service: &Service,
-    writer: &mut BufWriter<TcpStream>,
-    response: &Json,
-    label: &'static str,
-) -> io::Result<()> {
-    let text = response.to_string();
-    // Account before the write so a client that has read the reply always
-    // sees the counter bumped (a failed write overcounts by one frame,
-    // which is the lesser evil).
-    service
-        .metrics
-        .wire_bytes_sent
-        .add("json", label, text.len() as u64 + 1);
-    writer.write_all(text.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
-    Ok(())
-}
-
-/// The binary half of a connection after a successful `wire_upgrade`:
-/// read frames, dispatch, answer with frames. Error containment follows
-/// the [`WireError`] taxonomy — a corrupt frame gets a typed error reply
-/// and the connection continues; lost framing gets one error reply and
-/// the connection closes; either way the server stays up.
-fn serve_binary(
+/// The connection loop — the only place requests are read off a socket.
+/// Error containment follows the [`WireError`] taxonomy on both
+/// transports: a corrupt frame gets a typed error reply and the
+/// connection continues; lost framing (or an overlong line) gets one
+/// error reply and the connection closes; either way the server stays up.
+fn serve_requests(
     service: &Service,
     reader: &mut BufReader<TcpStream>,
     writer: &mut BufWriter<TcpStream>,
+    transport: &mut Transport,
     stop: &AtomicBool,
     served_shutdown: &AtomicBool,
 ) -> io::Result<()> {
-    let mut codec = FrameCodec::new();
     loop {
-        match codec.read(reader) {
+        let (bytes, parsed) = match transport.read(reader) {
+            Ok(Some(read)) => read,
             Ok(None) => return Ok(()),
-            Err(WireError::Io(e)) => {
-                // EOF mid-frame or a dead socket: nothing to answer on.
-                return Err(e);
-            }
-            Err(WireError::Desync(e)) => {
+            // EOF mid-frame or a dead socket: nothing to answer on.
+            Err(WireError::Io(e)) => return Err(e),
+            Err(e) => {
                 service.metrics.wire_frame_errors.inc();
-                let reply = Message::json(error_response(&format!("framing lost: {e}")));
-                let _ = write_frame(service, &mut codec, writer, &reply, "invalid");
-                return Ok(());
-            }
-            Err(WireError::Corrupt(e)) => {
-                service.metrics.wire_frame_errors.inc();
-                let reply = Message::json(error_response(&format!("corrupt frame: {e}")));
-                write_frame(service, &mut codec, writer, &reply, "invalid")?;
-            }
-            Ok(Some((msg, frame_bytes))) => {
-                let label = op_label(Some(&msg.json));
-                service
-                    .metrics
-                    .wire_bytes_received
-                    .add("binary", label, frame_bytes);
-                let reply = match dispatch_binary(service, msg, stop) {
-                    BinaryReply::Drop => return Ok(()),
-                    BinaryReply::Message(reply) => reply,
-                };
-                let shutdown_done = label == "shutdown"
-                    && reply.json.get("ok").and_then(Json::as_bool) == Some(true);
-                let written = write_frame(service, &mut codec, writer, &reply, label);
-                if shutdown_done {
-                    served_shutdown.store(true, Ordering::SeqCst);
-                    return written;
+                let reply = Message::json(error_response(&e.to_string()));
+                let written = send(service, transport, writer, &reply, "invalid");
+                match e {
+                    WireError::Corrupt(_) => written?,
+                    _ => return Ok(()),
                 }
+                continue;
+            }
+        };
+        let (label, request) = match parsed {
+            Ok(msg) => Request::decode(msg),
+            Err(e) => ("invalid", Err(format!("bad request: {e}"))),
+        };
+        let encoding = transport.encoding();
+        service
+            .metrics
+            .wire_bytes_received
+            .add(encoding, label, bytes);
+        let binary = matches!(transport, Transport::Frames(_));
+        let (reply, next) = match request {
+            Err(e) => (Message::json(error_response(&e)), Next::Serve),
+            Ok(request) => match handle(service, request, stop, binary) {
+                Some(answer) => answer,
+                // An injected connection fault: sever the stream without
+                // a reply, as a crashed server would.
+                None => return Ok(()),
+            },
+        };
+        let written = send(service, transport, writer, &reply, label);
+        match next {
+            Next::Serve => written?,
+            Next::Upgrade => {
                 written?;
+                *transport = Transport::Frames(FrameCodec::new());
+                service.metrics.wire_binary_sessions.inc();
+            }
+            Next::Close => {
+                // Mark the shutdown as served only after the reply reached
+                // the socket (or the write definitively failed), so a host
+                // waiting on `Server::shutdown_served` never exits while
+                // the reply is still in flight.
+                served_shutdown.store(true, Ordering::SeqCst);
+                return written;
             }
         }
     }
 }
 
-fn write_frame(
+/// Write one reply, counting its bytes under `label` first so a client
+/// that has read the reply always sees the counter bumped (a failed write
+/// overcounts by one reply, the lesser evil).
+fn send(
     service: &Service,
-    codec: &mut FrameCodec,
+    transport: &mut Transport,
     writer: &mut BufWriter<TcpStream>,
     reply: &Message,
     label: &'static str,
 ) -> io::Result<()> {
-    let frame = codec
-        .encode(reply, true)
+    let encoding = transport.encoding();
+    let bytes = transport
+        .encode(reply)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    // Account before the write: see `write_json_line`.
     service
         .metrics
         .wire_bytes_sent
-        .add("binary", label, frame.len() as u64);
-    writer.write_all(frame)?;
-    writer.flush()?;
-    Ok(())
+        .add(encoding, label, bytes.len() as u64);
+    writer.write_all(bytes)?;
+    writer.flush()
 }
 
-/// What a dispatched request produces: a response line, or an instruction
-/// to drop the connection without replying (injected connection fault).
-enum Reply {
-    Json(Json),
-    Drop,
-}
-
-fn error_response(message: &str) -> Json {
-    Json::obj(vec![
-        ("ok", Json::Bool(false)),
-        ("error", Json::str(message)),
-    ])
-}
-
-fn ok_response(mut payload: Vec<(&str, Json)>) -> Json {
-    let mut pairs = vec![("ok", Json::Bool(true))];
-    pairs.append(&mut payload);
-    Json::obj(pairs)
-}
-
-fn dispatch(service: &Service, request: &Json, stop: &AtomicBool) -> Reply {
-    let Some(op) = request.get("op").and_then(Json::as_str) else {
-        return Reply::Json(error_response("missing 'op'"));
-    };
-    Reply::Json(match op {
-        "ping" => ok_response(vec![("pong", Json::Bool(true))]),
-        "submit" => {
-            let Some(job) = request.get("job") else {
-                return Reply::Json(error_response("missing 'job'"));
-            };
-            match parse_job_spec(job) {
+/// Answer one decoded request: one arm per op, the same [`Service`] calls
+/// on both transports. `None` severs the connection without a reply (an
+/// injected connection fault).
+fn handle(
+    service: &Service,
+    request: Request,
+    stop: &AtomicBool,
+    binary: bool,
+) -> Option<(Message, Next)> {
+    let reply = match request {
+        Request::Ping => ok_response(vec![("pong", Json::Bool(true))]),
+        Request::Submit(spec) => match service.submit(spec) {
+            Ok(id) => ok_response(vec![("id", Json::num(id as f64))]),
+            Err(e) => error_response(&e.to_string()),
+        },
+        Request::Status(id) => job_reply(id, service.status(id)),
+        Request::Wait(id, timeout) => {
+            let status = service.wait(id, timeout);
+            // The job's fault plan may ask for the connection carrying
+            // its completion to be severed — once, after the wait, so
+            // the client observes a drop exactly where it hurts most.
+            if service.take_connection_fault(id) {
+                return None;
+            }
+            job_reply(id, status)
+        }
+        Request::Cancel(id) => ok_response(vec![("cancelled", Json::Bool(service.cancel(id)))]),
+        Request::Stats => ok_response(vec![("stats", stats_json(service))]),
+        Request::Metrics => ok_response(vec![("text", Json::str(service.metrics_text()))]),
+        Request::StreamOpen {
+            config,
+            reference,
+            query,
+        } => {
+            let query = query.unwrap_or_else(|| reference.clone());
+            match service.stream_open(reference, query, config) {
+                Ok(summary) => ok_response(vec![("session", summary_json(&summary))]),
                 Err(e) => error_response(&e),
-                Ok(spec) => match service.submit(spec) {
-                    Ok(id) => ok_response(vec![("id", Json::num(id as f64))]),
-                    Err(e) => error_response(&e.to_string()),
-                },
             }
         }
-        "status" => match request.get("id").and_then(Json::as_u64) {
-            None => error_response("missing numeric 'id'"),
-            Some(id) => match service.status(id) {
-                None => error_response(&format!("unknown job {id}")),
-                Some(status) => ok_response(vec![("job", status_json(&status))]),
-            },
+        Request::StreamAppend {
+            session,
+            side,
+            samples,
+        } => match service.stream_append(session, side, &samples) {
+            Ok(report) => append_report_json(&report),
+            Err(e) => error_response(&e),
         },
-        "wait" => match request.get("id").and_then(Json::as_u64) {
-            None => error_response("missing numeric 'id'"),
-            Some(id) => {
-                let timeout = request
-                    .get("timeout_seconds")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(60.0)
-                    .clamp(0.0, 3600.0);
-                let status = service.wait(id, Duration::from_secs_f64(timeout));
-                // The job's fault plan may ask for the connection carrying
-                // its completion to be severed — once, after the wait, so
-                // the client observes a drop exactly where it hurts most.
-                if service.take_connection_fault(id) {
-                    return Reply::Drop;
-                }
-                match status {
-                    None => error_response(&format!("unknown job {id}")),
-                    Some(status) => ok_response(vec![("job", status_json(&status))]),
-                }
-            }
+        Request::StreamStatus(session) => match service.sessions.summary(session) {
+            None => error_response(&format!("unknown session {session}")),
+            Some(summary) => ok_response(vec![("session", summary_json(&summary))]),
         },
-        "cancel" => match request.get("id").and_then(Json::as_u64) {
-            None => error_response("missing numeric 'id'"),
-            Some(id) => ok_response(vec![("cancelled", Json::Bool(service.cancel(id)))]),
-        },
-        "stats" => ok_response(vec![("stats", stats_json(service))]),
-        "metrics" => ok_response(vec![("text", Json::str(service.metrics_text()))]),
-        "stream_open" => stream_open(service, request),
-        "stream_append" => stream_append(service, request),
-        "stream_status" => match request.get("session").and_then(Json::as_u64) {
-            None => error_response("missing numeric 'session'"),
-            Some(id) => match service.sessions.summary(id) {
-                None => error_response(&format!("unknown session {id}")),
-                Some(summary) => ok_response(vec![("session", summary_json(&summary))]),
-            },
-        },
-        "stream_close" => match request.get("session").and_then(Json::as_u64) {
-            None => error_response("missing numeric 'session'"),
-            Some(id) => ok_response(vec![("closed", Json::Bool(service.stream_close(id)))]),
-        },
-        "tile_exec" => tile_exec(service, request),
-        "shutdown" => {
-            let drain = request.get("drain").and_then(Json::as_bool).unwrap_or(true);
+        Request::StreamClose(session) => {
+            ok_response(vec![("closed", Json::Bool(service.stream_close(session)))])
+        }
+        Request::TileExec(spec, tiles) => {
+            let reply = match service.execute_tile_subset(&spec, &tiles) {
+                Ok(run) => tile_exec_reply(&run, binary),
+                Err(e) => Message::json(error_response(&e)),
+            };
+            return Some((reply, Next::Serve));
+        }
+        Request::WireUpgrade(_) if binary => {
+            error_response("the connection already speaks binary frames")
+        }
+        Request::WireUpgrade(version) if version != u64::from(WIRE_VERSION) => {
+            error_response(&format!("unsupported wire version {version}"))
+        }
+        Request::WireUpgrade(_) => {
+            let reply = ok_response(vec![
+                ("wire", Json::str("binary")),
+                ("version", Json::num(f64::from(WIRE_VERSION))),
+            ]);
+            return Some((Message::json(reply), Next::Upgrade));
+        }
+        Request::Shutdown { drain } => {
             stop.store(true, Ordering::SeqCst);
             service.shutdown(drain);
-            ok_response(vec![("stopped", Json::Bool(true))])
+            let reply = ok_response(vec![("stopped", Json::Bool(true))]);
+            return Some((Message::json(reply), Next::Close));
         }
-        other => error_response(&format!("unknown op '{other}'")),
-    })
+    };
+    Some((Message::json(reply), Next::Serve))
 }
 
-/// What a binary-mode dispatch produces: a response frame, or an
-/// instruction to drop the connection (injected connection fault).
-enum BinaryReply {
-    Message(Message),
-    Drop,
-}
-
-/// Dispatch one decoded frame. Bulk ops (`tile_exec`, `stream_open`,
-/// `stream_append`) get chunk-aware handling; everything else reuses the
-/// JSON dispatch wrapped in a chunkless frame. Takes the message by value
-/// so chunk planes move instead of copying.
-fn dispatch_binary(service: &Service, msg: Message, stop: &AtomicBool) -> BinaryReply {
-    match msg.json.get("op").and_then(Json::as_str) {
-        Some("tile_exec") => BinaryReply::Message(tile_exec_binary(service, &msg.json)),
-        Some("stream_open") if msg.json.get("reference_chunks").is_some() => {
-            BinaryReply::Message(Message::json(stream_open_binary(service, msg)))
-        }
-        Some("stream_append") if msg.json.get("samples_chunks").is_some() => {
-            BinaryReply::Message(Message::json(stream_append_binary(service, msg)))
-        }
-        _ => match dispatch(service, &msg.json, stop) {
-            Reply::Drop => BinaryReply::Drop,
-            Reply::Json(response) => BinaryReply::Message(Message::json(response)),
-        },
+fn job_reply(id: u64, status: Option<JobStatus>) -> Json {
+    match status {
+        None => error_response(&format!("unknown job {id}")),
+        Some(status) => ok_response(vec![("job", status_json(&status))]),
     }
-}
-
-/// Parse the wire form of a job spec.
-///
-/// ```json
-/// {"input": {"kind": "synthetic", "n": 512, "d": 2, "pattern": 0,
-///            "noise": 0.3, "seed": 7},
-///  "m": 64, "mode": "fp16", "tiles": 4, "gpus": 1,
-///  "priority": "normal", "max_retries": 1}
-/// ```
-///
-/// A CSV input instead reads `{"kind": "csv", "reference": "...",
-/// "query": "..."}` (omit `query` for a self-join).
-///
-/// Resilience fields (all optional): `fault_plan` is a fault-plan spec
-/// string (e.g. `"seed=7,kernel@0,stall@3:40"`), `tile_retries` the
-/// per-tile retry budget (default 2), `tile_deadline_ms` the per-kernel
-/// deadline, `deadline_ms` the whole-job deadline.
-pub fn parse_job_spec(job: &Json) -> Result<JobSpec, String> {
-    let input = job.get("input").ok_or("missing 'input'")?;
-    let kind = input
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("missing input 'kind'")?;
-    let input = match kind {
-        "synthetic" => JobInput::Synthetic {
-            n: input
-                .get("n")
-                .and_then(Json::as_u64)
-                .ok_or("synthetic input needs 'n'")? as usize,
-            d: input.get("d").and_then(Json::as_u64).unwrap_or(1) as usize,
-            pattern: input.get("pattern").and_then(Json::as_u64).unwrap_or(0) as usize,
-            noise: input.get("noise").and_then(Json::as_f64).unwrap_or(0.3),
-            seed: input.get("seed").and_then(Json::as_u64).unwrap_or(42),
-        },
-        "csv" => JobInput::Csv {
-            reference: input
-                .get("reference")
-                .and_then(Json::as_str)
-                .ok_or("csv input needs 'reference'")?
-                .into(),
-            query: input
-                .get("query")
-                .and_then(Json::as_str)
-                .map(std::path::PathBuf::from),
-        },
-        other => return Err(format!("unknown input kind '{other}'")),
-    };
-    let mode = match job.get("mode").and_then(Json::as_str) {
-        Some(s) => s.parse::<PrecisionMode>()?,
-        None => PrecisionMode::Fp64,
-    };
-    let priority = match job.get("priority").and_then(Json::as_str) {
-        Some(s) => s.parse::<Priority>()?,
-        None => Priority::Normal,
-    };
-    let fault_plan = match job.get("fault_plan").and_then(Json::as_str) {
-        Some(spec) => Some(Arc::new(
-            spec.parse::<FaultPlan>()
-                .map_err(|e| format!("fault_plan: {e}"))?,
-        )),
-        None => None,
-    };
-    Ok(JobSpec {
-        input,
-        m: job.get("m").and_then(Json::as_u64).ok_or("missing 'm'")? as usize,
-        mode,
-        tiles: job.get("tiles").and_then(Json::as_u64).unwrap_or(1) as usize,
-        gpus: job.get("gpus").and_then(Json::as_u64).unwrap_or(1) as usize,
-        priority,
-        max_retries: job.get("max_retries").and_then(Json::as_u64).unwrap_or(0) as u32,
-        fault_plan,
-        tile_retries: job.get("tile_retries").and_then(Json::as_u64).unwrap_or(2) as u32,
-        fused_rows: job.get("fused_rows").and_then(Json::as_bool),
-        tc_chunk_k: job
-            .get("tc_chunk_k")
-            .and_then(Json::as_u64)
-            .map(|k| k as usize),
-        tile_deadline_ms: job.get("tile_deadline_ms").and_then(Json::as_u64),
-        deadline_ms: job.get("deadline_ms").and_then(Json::as_u64),
-    })
 }
 
 fn status_json(status: &JobStatus) -> Json {
@@ -705,195 +501,6 @@ fn stats_json(service: &Service) -> Json {
     ])
 }
 
-/// Encode a value plane as the concatenated hex `f64` bit patterns, 16
-/// lowercase hex chars per element. JSON numbers cannot carry `+Inf` (the
-/// profile's unset sentinel) or guarantee bit-exact round-trips, so the
-/// tile-lease protocol ships value planes through this encoding.
-pub fn encode_plane_hex(plane: &[f64]) -> String {
-    let mut out = String::with_capacity(plane.len() * 16);
-    for v in plane {
-        out.push_str(&format!("{:016x}", v.to_bits()));
-    }
-    out
-}
-
-/// Decode a value plane produced by [`encode_plane_hex`], checking the
-/// expected element count.
-pub fn decode_plane_hex(hex: &str, len: usize) -> Result<Vec<f64>, String> {
-    if hex.len() != len * 16 {
-        return Err(format!(
-            "plane hex length {} does not match {} elements",
-            hex.len(),
-            len
-        ));
-    }
-    let bytes = hex.as_bytes();
-    let mut out = Vec::with_capacity(len);
-    for chunk in bytes.chunks_exact(16) {
-        let s = std::str::from_utf8(chunk).map_err(|_| "plane hex is not ASCII".to_string())?;
-        let bits = u64::from_str_radix(s, 16).map_err(|_| format!("bad plane hex chunk `{s}`"))?;
-        out.push(f64::from_bits(bits));
-    }
-    Ok(out)
-}
-
-/// Encode an index plane as concatenated hex `i64` bit patterns — the
-/// same 16-char cell as [`encode_plane_hex`], so the JSON fallback stops
-/// shipping (and parsing) one JSON number token per cell.
-pub fn encode_index_plane_hex(plane: &[i64]) -> String {
-    let mut out = String::with_capacity(plane.len() * 16);
-    for v in plane {
-        out.push_str(&format!("{:016x}", *v as u64));
-    }
-    out
-}
-
-/// Decode an index plane produced by [`encode_index_plane_hex`], checking
-/// the expected element count.
-pub fn decode_index_plane_hex(hex: &str, len: usize) -> Result<Vec<i64>, String> {
-    if hex.len() != len * 16 {
-        return Err(format!(
-            "index hex length {} does not match {} elements",
-            hex.len(),
-            len
-        ));
-    }
-    let bytes = hex.as_bytes();
-    let mut out = Vec::with_capacity(len);
-    for chunk in bytes.chunks_exact(16) {
-        let s = std::str::from_utf8(chunk).map_err(|_| "index hex is not ASCII".to_string())?;
-        let bits = u64::from_str_radix(s, 16).map_err(|_| format!("bad index hex chunk `{s}`"))?;
-        out.push(bits as i64);
-    }
-    Ok(out)
-}
-
-/// Parse a `tile_exec` request's job spec and tile list (shared by the
-/// JSON and binary transports).
-fn parse_tile_exec(request: &Json) -> Result<(JobSpec, Vec<usize>), String> {
-    let job = request.get("job").ok_or("missing 'job'")?;
-    let spec = parse_job_spec(job)?;
-    let tiles = request
-        .get("tiles")
-        .and_then(Json::as_arr)
-        .ok_or("missing 'tiles' array")?;
-    if tiles.is_empty() {
-        return Err("'tiles' must name at least one tile".into());
-    }
-    let mut indices = Vec::with_capacity(tiles.len());
-    for t in tiles {
-        match t.as_u64() {
-            Some(i) => indices.push(i as usize),
-            None => return Err("tile indices must be non-negative integers".into()),
-        }
-    }
-    Ok((spec, indices))
-}
-
-/// The response trailer shared by both `tile_exec` transports.
-fn tile_exec_trailer(run: &mdmp_core::TileSubsetRun) -> Vec<(&'static str, Json)> {
-    vec![
-        ("precalc_hits", Json::num(run.precalc_hits as f64)),
-        ("precalc_misses", Json::num(run.precalc_misses as f64)),
-        ("tile_retries", Json::num(run.tile_retries as f64)),
-        (
-            "plane_validation_failures",
-            Json::num(run.plane_validation_failures as f64),
-        ),
-        (
-            "quarantined_devices",
-            Json::Arr(
-                run.quarantined_devices
-                    .iter()
-                    .map(|&d| Json::num(d as f64))
-                    .collect(),
-            ),
-        ),
-    ]
-}
-
-/// Serve a `tile_exec` request: parse the job spec and tile list, execute
-/// the subset synchronously, and return the per-tile partial profiles.
-fn tile_exec(service: &Service, request: &Json) -> Json {
-    let (spec, indices) = match parse_tile_exec(request) {
-        Ok(parsed) => parsed,
-        Err(e) => return error_response(&e),
-    };
-    match service.execute_tile_subset(&spec, &indices) {
-        Err(e) => error_response(&e),
-        Ok(run) => {
-            let tiles: Vec<Json> = run.results.iter().map(tile_result_json).collect();
-            let mut payload = vec![("tiles", Json::Arr(tiles))];
-            payload.append(&mut tile_exec_trailer(&run));
-            ok_response(payload)
-        }
-    }
-}
-
-/// Serve a `tile_exec` request on the binary transport: the per-tile
-/// planes ride as frame chunks referenced by `p_chunk`/`i_chunk` indices
-/// instead of ASCII encodings.
-fn tile_exec_binary(service: &Service, request: &Json) -> Message {
-    let (spec, indices) = match parse_tile_exec(request) {
-        Ok(parsed) => parsed,
-        Err(e) => return Message::json(error_response(&e)),
-    };
-    match service.execute_tile_subset(&spec, &indices) {
-        Err(e) => Message::json(error_response(&e)),
-        Ok(run) => {
-            let mut chunks = Vec::with_capacity(run.results.len() * 2);
-            let mut tiles = Vec::with_capacity(run.results.len());
-            let mut values = Vec::new();
-            let mut indices = Vec::new();
-            for result in &run.results {
-                let profile = &result.profile;
-                mdmp_core::profile_planes_k_major(profile, &mut values, &mut indices);
-                let p_chunk = chunks.len();
-                chunks.push(Chunk::F64(std::mem::take(&mut values)));
-                let i_chunk = chunks.len();
-                chunks.push(Chunk::I64(std::mem::take(&mut indices)));
-                tiles.push(Json::obj(vec![
-                    ("tile", Json::num(result.tile.index as f64)),
-                    ("col0", Json::num(result.tile.col0 as f64)),
-                    ("n_query", Json::num(profile.n_query() as f64)),
-                    ("dims", Json::num(profile.dims() as f64)),
-                    ("p_chunk", Json::num(p_chunk as f64)),
-                    ("i_chunk", Json::num(i_chunk as f64)),
-                    ("device_seconds", Json::num(result.device_seconds)),
-                    ("precalc_hit", Json::Bool(result.precalc_cached)),
-                ]));
-            }
-            let mut payload = vec![("tiles", Json::Arr(tiles))];
-            payload.append(&mut tile_exec_trailer(&run));
-            Message {
-                json: ok_response(payload),
-                chunks,
-            }
-        }
-    }
-}
-
-/// The wire form of one executed tile: identity (`tile`, `col0`), shape
-/// (`n_query`, `dims`), both planes as hex bit patterns (k-major, the
-/// [`mdmp_core::MatrixProfile::from_raw`] order), and the modelled device
-/// seconds the tile cost.
-fn tile_result_json(result: &mdmp_core::SubsetTileResult) -> Json {
-    let profile = &result.profile;
-    let mut values = Vec::new();
-    let mut indices = Vec::new();
-    mdmp_core::profile_planes_k_major(profile, &mut values, &mut indices);
-    Json::obj(vec![
-        ("tile", Json::num(result.tile.index as f64)),
-        ("col0", Json::num(result.tile.col0 as f64)),
-        ("n_query", Json::num(profile.n_query() as f64)),
-        ("dims", Json::num(profile.dims() as f64)),
-        ("p_hex", Json::str(encode_plane_hex(&values))),
-        ("i_hex", Json::str(encode_index_plane_hex(&indices))),
-        ("device_seconds", Json::num(result.device_seconds)),
-        ("precalc_hit", Json::Bool(result.precalc_cached)),
-    ])
-}
-
 fn summary_json(summary: &SessionSummary) -> Json {
     Json::obj(vec![
         ("session", Json::num(summary.id as f64)),
@@ -903,67 +510,7 @@ fn summary_json(summary: &SessionSummary) -> Json {
     ])
 }
 
-fn parse_series(value: &Json) -> Result<MultiDimSeries, String> {
-    // `from_dims` asserts equal lengths; a ragged wire payload must be a
-    // typed error, not a dropped connection.
-    series_from_dims(parse_samples(value)?)
-}
-
-/// Parse per-dimension sample slices without requiring equal lengths — the
-/// session layer reports shape mismatches as typed errors.
-fn parse_samples(value: &Json) -> Result<Vec<Vec<f64>>, String> {
-    let dims = value.as_arr().ok_or("series must be an array of arrays")?;
-    if dims.is_empty() {
-        return Err("series needs at least one dimension".into());
-    }
-    let mut out = Vec::with_capacity(dims.len());
-    for dim in dims {
-        let samples = dim.as_arr().ok_or("each dimension must be an array")?;
-        let mut xs = Vec::with_capacity(samples.len());
-        for s in samples {
-            xs.push(s.as_f64().ok_or("samples must be numbers")?);
-        }
-        out.push(xs);
-    }
-    Ok(out)
-}
-
-/// Parse the `m` and `mode` fields shared by both `stream_open`
-/// transports.
-fn parse_stream_config(request: &Json) -> Result<(usize, PrecisionMode), String> {
-    let m = match request.get("m").and_then(Json::as_u64) {
-        Some(m) if m >= 2 => m as usize,
-        _ => return Err("missing 'm' (>= 2)".into()),
-    };
-    let mode = match request.get("mode").and_then(Json::as_str) {
-        Some(s) => s.parse::<PrecisionMode>()?,
-        None => PrecisionMode::Fp64,
-    };
-    Ok((m, mode))
-}
-
-fn stream_open(service: &Service, request: &Json) -> Json {
-    let (m, mode) = match parse_stream_config(request) {
-        Ok(config) => config,
-        Err(e) => return error_response(&e),
-    };
-    let reference = match request.get("reference").map(parse_series) {
-        Some(Ok(series)) => series,
-        Some(Err(e)) => return error_response(&format!("reference: {e}")),
-        None => return error_response("missing 'reference'"),
-    };
-    let query = match request.get("query").map(parse_series) {
-        Some(Ok(series)) => series,
-        Some(Err(e)) => return error_response(&format!("query: {e}")),
-        None => reference.clone(),
-    };
-    match service.stream_open(reference, query, MdmpConfig::new(m, mode)) {
-        Ok(summary) => ok_response(vec![("session", summary_json(&summary))]),
-        Err(e) => error_response(&e),
-    }
-}
-
-fn append_report_json(report: &crate::session::AppendReport) -> Json {
+fn append_report_json(report: &AppendReport) -> Json {
     ok_response(vec![
         ("session", summary_json(&report.summary)),
         ("reused_precalc", Json::Bool(report.reused_precalc)),
@@ -972,151 +519,12 @@ fn append_report_json(report: &crate::session::AppendReport) -> Json {
     ])
 }
 
-fn stream_append(service: &Service, request: &Json) -> Json {
-    let Some(id) = request.get("session").and_then(Json::as_u64) else {
-        return error_response("missing numeric 'session'");
-    };
-    let side = match request.get("side").and_then(Json::as_str) {
-        Some(s) => match s.parse::<AppendSide>() {
-            Ok(side) => side,
-            Err(e) => return error_response(&e),
-        },
-        None => AppendSide::Query,
-    };
-    let samples = match request.get("samples").map(parse_samples) {
-        Some(Ok(samples)) => samples,
-        Some(Err(e)) => return error_response(&format!("samples: {e}")),
-        None => return error_response("missing 'samples'"),
-    };
-    match service.stream_append(id, side, &samples) {
-        Ok(report) => append_report_json(&report),
-        Err(e) => error_response(&e),
-    }
-}
-
-/// Pull `count` float chunks off the frame as per-dimension sample
-/// slices.
-fn chunk_series(
-    chunks: &mut std::vec::IntoIter<Chunk>,
-    count: usize,
-    what: &str,
-) -> Result<Vec<Vec<f64>>, String> {
-    if count == 0 {
-        return Err(format!("{what} needs at least one dimension"));
-    }
-    // The declared count is client-controlled (any u64 the JSON header
-    // carries); cap it by what the frame actually holds before sizing
-    // the allocation.
-    if count > chunks.len() {
-        return Err(format!("{what}: frame carries fewer chunks than declared"));
-    }
-    let mut dims = Vec::with_capacity(count);
-    for _ in 0..count {
-        match chunks.next() {
-            Some(Chunk::F64(samples)) => dims.push(samples),
-            Some(Chunk::I64(_)) => return Err(format!("{what}: expected float chunks")),
-            None => return Err(format!("{what}: frame carries fewer chunks than declared")),
-        }
-    }
-    Ok(dims)
-}
-
-/// Build a series from per-dimension slices, reporting raggedness as a
-/// typed error (`from_dims` asserts equal lengths).
-fn series_from_dims(dims: Vec<Vec<f64>>) -> Result<MultiDimSeries, String> {
-    let len = dims.first().map_or(0, Vec::len);
-    if dims.iter().any(|d| d.len() != len) {
-        return Err("all dimensions must have the same length".into());
-    }
-    Ok(MultiDimSeries::from_dims(dims))
-}
-
-/// Serve a `stream_open` whose series arrive as binary chunks — one float
-/// chunk per dimension, `reference_chunks` of them, then `query_chunks`
-/// (omit for a self-join).
-fn stream_open_binary(service: &Service, msg: Message) -> Json {
-    let request = &msg.json;
-    let (m, mode) = match parse_stream_config(request) {
-        Ok(config) => config,
-        Err(e) => return error_response(&e),
-    };
-    let Some(ref_count) = request.get("reference_chunks").and_then(Json::as_u64) else {
-        return error_response("missing numeric 'reference_chunks'");
-    };
-    let query_count = request.get("query_chunks").and_then(Json::as_u64);
-    let mut chunks = msg.chunks.into_iter();
-    let reference = match chunk_series(&mut chunks, ref_count as usize, "reference")
-        .and_then(series_from_dims)
-    {
-        Ok(series) => series,
-        Err(e) => return error_response(&format!("reference: {e}")),
-    };
-    let query = match query_count {
-        Some(count) => {
-            match chunk_series(&mut chunks, count as usize, "query").and_then(series_from_dims) {
-                Ok(series) => series,
-                Err(e) => return error_response(&format!("query: {e}")),
-            }
-        }
-        None => reference.clone(),
-    };
-    if chunks.next().is_some() {
-        return error_response("frame carries more chunks than declared");
-    }
-    match service.stream_open(reference, query, MdmpConfig::new(m, mode)) {
-        Ok(summary) => ok_response(vec![("session", summary_json(&summary))]),
-        Err(e) => error_response(&e),
-    }
-}
-
-/// Serve a `stream_append` whose samples arrive as binary chunks — one
-/// float chunk per dimension, `samples_chunks` of them.
-fn stream_append_binary(service: &Service, msg: Message) -> Json {
-    let request = &msg.json;
-    let Some(id) = request.get("session").and_then(Json::as_u64) else {
-        return error_response("missing numeric 'session'");
-    };
-    let side = match request.get("side").and_then(Json::as_str) {
-        Some(s) => match s.parse::<AppendSide>() {
-            Ok(side) => side,
-            Err(e) => return error_response(&e),
-        },
-        None => AppendSide::Query,
-    };
-    let Some(count) = request.get("samples_chunks").and_then(Json::as_u64) else {
-        return error_response("missing numeric 'samples_chunks'");
-    };
-    let mut chunks = msg.chunks.into_iter();
-    let samples = match chunk_series(&mut chunks, count as usize, "samples") {
-        Ok(samples) => samples,
-        Err(e) => return error_response(&format!("samples: {e}")),
-    };
-    if chunks.next().is_some() {
-        return error_response("frame carries more chunks than declared");
-    }
-    match service.stream_append(id, side, &samples) {
-        Ok(report) => append_report_json(&report),
-        Err(e) => error_response(&e),
-    }
-}
-
-/// One-shot client helper: connect, send `request` as one line, read one
-/// response line.
-pub fn request(addr: &str, request: &Json) -> io::Result<Json> {
-    let mut stream = TcpStream::connect(addr)?;
-    let _ = stream.set_nodelay(true);
-    writeln!(stream, "{request}")?;
-    stream.flush()?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    Json::parse(line.trim()).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::{decode_index_plane_hex, decode_plane_hex, encode_plane_hex};
     use crate::scheduler::ServiceConfig;
+    use crate::wire::request;
 
     fn wave(offset: usize, n: usize) -> Vec<f64> {
         (0..n)
@@ -1475,6 +883,83 @@ mod tests {
         assert!(text.contains("mdmp_stream_appends_total 1"), "{text}");
         assert!(text.contains("mdmp_stream_append_failures_total 4"));
         assert!(text.contains("mdmp_stream_sessions_open 1"));
+
+        server.stop();
+        service.shutdown(true);
+    }
+
+    /// One request nested 100,000 deep — as a JSON line and inside a
+    /// binary frame's envelope — gets a typed error reply, and the same
+    /// connection then answers `ping`: the parser's nesting cap, not the
+    /// connection thread's stack, bounds the recursion.
+    #[test]
+    fn deep_nesting_gets_a_typed_error_on_both_transports() {
+        use crate::wire::{crc32, WireConn, WirePreference};
+        use std::io::BufRead;
+
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            devices: 1,
+            ..ServiceConfig::default()
+        });
+        let mut server = serve(Arc::clone(&service), "127.0.0.1:0").unwrap();
+        let addr = server.local_addr().to_string();
+        let hostile = format!(
+            "{{\"op\":\"stream_open\",\"reference\":{}",
+            "[".repeat(100_000)
+        );
+        let ping = Json::obj(vec![("op", Json::str("ping"))]);
+        let ok = |reply: &Json| reply.get("ok").and_then(Json::as_bool);
+
+        let stream = TcpStream::connect(&addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let mut line = String::new();
+        for request in [hostile.clone(), ping.to_string()] {
+            writeln!(writer, "{request}").unwrap();
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            let reply = Json::parse(line.trim()).unwrap();
+            if request == hostile {
+                assert_eq!(ok(&reply), Some(false), "{reply}");
+                let error = reply.get("error").and_then(Json::as_str).unwrap();
+                assert!(error.contains("nesting deeper than 64"), "{error}");
+            } else {
+                assert_eq!(ok(&reply), Some(true), "{reply}");
+            }
+        }
+
+        let mut conn = WireConn::connect(&addr, None, WirePreference::Auto).unwrap();
+        assert!(conn.is_binary());
+        // `FrameCodec::encode` would have to build the nested value, so
+        // the frame is assembled by hand: envelope, empty chunk list, CRC.
+        let mut payload = (hostile.len() as u32).to_le_bytes().to_vec();
+        payload.extend_from_slice(hostile.as_bytes());
+        payload.extend_from_slice(&0u16.to_le_bytes());
+        let mut frame = b"MW\x01\x01".to_vec();
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        let stream = TcpStream::connect(&addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        writeln!(writer, "{{\"op\":\"wire_upgrade\",\"version\":1}}").unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(ok(&Json::parse(line.trim()).unwrap()), Some(true));
+        let mut codec = FrameCodec::new();
+        writer.write_all(&frame).unwrap();
+        let (reply, _) = codec.read(&mut reader).unwrap().unwrap();
+        assert_eq!(ok(&reply.json), Some(false), "{}", reply.json);
+        let error = reply.json.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("nesting deeper than 64"), "{error}");
+        writer
+            .write_all(codec.encode(&Message::json(ping.clone()), true).unwrap())
+            .unwrap();
+        let (reply, _) = codec.read(&mut reader).unwrap().unwrap();
+        assert_eq!(ok(&reply.json), Some(true), "{}", reply.json);
+        let pong = conn.request(&Message::json(ping)).unwrap();
+        assert_eq!(ok(&pong.json), Some(true));
 
         server.stop();
         service.shutdown(true);

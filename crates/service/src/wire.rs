@@ -44,7 +44,7 @@
 
 use crate::proto::Json;
 use mdmp_precision::Half;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -379,6 +379,14 @@ fn encode_chunk(out: &mut Vec<u8>, chunk: &Chunk, narrow: bool) -> Result<(), St
 fn decode_chunk(tag: u8, count: usize, data: &[u8]) -> Result<Chunk, String> {
     match tag {
         TAG_INDEX => {
+            // Every varint takes at least one byte, so a count the data
+            // cannot hold is rejected before it sizes an allocation.
+            if count > data.len() {
+                return Err(format!(
+                    "index chunk declares {count} elements in {} bytes",
+                    data.len()
+                ));
+            }
             let mut plane = Vec::with_capacity(count);
             let mut at = 0usize;
             let mut prev = 0i64;
@@ -538,9 +546,16 @@ impl FrameCodec {
                 "length prefix {len} exceeds the {MAX_FRAME_BYTES}-byte cap"
             )));
         }
+        // Read into the pooled buffer as the bytes arrive, so a length
+        // prefix sizes no allocation its frame does not back.
         self.payload.clear();
-        self.payload.resize(len, 0);
-        reader.read_exact(&mut self.payload)?;
+        reader
+            .by_ref()
+            .take(len as u64)
+            .read_to_end(&mut self.payload)?;
+        if self.payload.len() != len {
+            return Err(WireError::Io(io::ErrorKind::UnexpectedEof.into()));
+        }
         let mut crc_bytes = [0u8; 4];
         reader.read_exact(&mut crc_bytes)?;
         let expect = u32::from_le_bytes(crc_bytes);
@@ -555,14 +570,76 @@ impl FrameCodec {
     }
 }
 
+/// One message off the wire: its size in bytes, and the message or why
+/// its JSON did not parse.
+pub(crate) type Received = (u64, Result<Message, String>);
+
+/// A connection's transport, the same value at both ends: JSON lines (with
+/// one line buffer reused for reads and writes) until a `wire_upgrade`
+/// succeeds, binary frames with their pooled codec after.
+#[derive(Debug)]
+pub(crate) enum Transport {
+    Lines(Vec<u8>),
+    Frames(FrameCodec),
+}
+
+impl Transport {
+    /// The `encoding` label of the byte counters.
+    pub(crate) fn encoding(&self) -> &'static str {
+        match self {
+            Transport::Lines(_) => "json",
+            Transport::Frames(_) => "binary",
+        }
+    }
+
+    /// Read one message: `Ok(None)` at a clean end of stream. Blank lines
+    /// are skipped; a line is capped at [`MAX_FRAME_BYTES`] like a frame.
+    pub(crate) fn read(
+        &mut self,
+        reader: &mut impl BufRead,
+    ) -> Result<Option<Received>, WireError> {
+        match self {
+            Transport::Frames(codec) => Ok(codec.read(reader)?.map(|(msg, n)| (n, Ok(msg)))),
+            Transport::Lines(line) => loop {
+                let n = read_line_capped(reader, line, MAX_FRAME_BYTES)? as u64;
+                if n == 0 {
+                    return Ok(None);
+                }
+                let parsed = match std::str::from_utf8(line).map(str::trim) {
+                    Ok("") => continue,
+                    Ok(text) => Json::parse(text).map(Message::json),
+                    Err(_) => Err("line is not UTF-8".to_string()),
+                };
+                return Ok(Some((n, parsed)));
+            },
+        }
+    }
+
+    /// Encode one message into the pooled buffer; write the returned bytes
+    /// with a single `write_all` before the next encode. A JSON line must
+    /// be chunkless — bulk payloads ride inline there.
+    pub(crate) fn encode(&mut self, msg: &Message) -> Result<&[u8], String> {
+        match self {
+            Transport::Frames(codec) => codec.encode(msg, true),
+            Transport::Lines(_) if !msg.chunks.is_empty() => {
+                Err("chunked message on a JSON-lines connection".into())
+            }
+            Transport::Lines(line) => {
+                line.clear();
+                writeln!(line, "{}", msg.json).map_err(|e| e.to_string())?;
+                Ok(line)
+            }
+        }
+    }
+}
+
 /// A client connection that negotiates the binary upgrade and falls back
 /// to JSON lines transparently, with `TCP_NODELAY`, buffered writes and
 /// byte accounting on both transports.
 pub struct WireConn {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    codec: FrameCodec,
-    binary: bool,
+    transport: Transport,
     bytes_sent: u64,
     bytes_received: u64,
 }
@@ -570,7 +647,7 @@ pub struct WireConn {
 impl std::fmt::Debug for WireConn {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WireConn")
-            .field("binary", &self.binary)
+            .field("binary", &self.is_binary())
             .field("bytes_sent", &self.bytes_sent)
             .field("bytes_received", &self.bytes_received)
             .finish()
@@ -598,8 +675,7 @@ impl WireConn {
         let mut conn = WireConn {
             reader: BufReader::new(stream),
             writer,
-            codec: FrameCodec::new(),
-            binary: false,
+            transport: Transport::Lines(Vec::new()),
             bytes_sent: 0,
             bytes_received: 0,
         };
@@ -610,23 +686,21 @@ impl WireConn {
     }
 
     fn upgrade(&mut self) -> Result<(), WireError> {
-        let request = Json::obj(vec![
+        let reply = self.request(&Message::json(Json::obj(vec![
             ("op", Json::str("wire_upgrade")),
             ("version", Json::num(f64::from(WIRE_VERSION))),
-        ]);
-        self.send_json_line(&request)?;
-        let reply = self.recv_json_line()?;
-        if reply.get("ok").and_then(Json::as_bool) == Some(true)
-            && reply.get("wire").and_then(Json::as_str) == Some("binary")
+        ])))?;
+        if reply.json.get("ok").and_then(Json::as_bool) == Some(true)
+            && reply.json.get("wire").and_then(Json::as_str) == Some("binary")
         {
-            self.binary = true;
+            self.transport = Transport::Frames(FrameCodec::new());
         }
         Ok(())
     }
 
     /// Whether the binary upgrade succeeded.
     pub fn is_binary(&self) -> bool {
-        self.binary
+        matches!(self.transport, Transport::Frames(_))
     }
 
     /// Bytes written to the socket so far (both transports, framing
@@ -640,63 +714,28 @@ impl WireConn {
         self.bytes_received
     }
 
-    fn send_json_line(&mut self, json: &Json) -> Result<(), WireError> {
-        let text = json.to_string();
-        self.writer.write_all(text.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        self.bytes_sent += text.len() as u64 + 1;
-        Ok(())
-    }
-
-    fn recv_json_line(&mut self) -> Result<Json, WireError> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(WireError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed by peer",
-            )));
-        }
-        self.bytes_received += n as u64;
-        Json::parse(line.trim()).map_err(WireError::Corrupt)
-    }
-
     /// Send one message on the active transport. On a JSON connection the
     /// message must be chunkless — bulk payloads belong inline in the
     /// JSON there.
     pub fn send(&mut self, msg: &Message) -> Result<(), WireError> {
-        if self.binary {
-            let frame = self.codec.encode(msg, true).map_err(WireError::Corrupt)?;
-            self.writer.write_all(frame)?;
-            self.writer.flush()?;
-            self.bytes_sent += frame.len() as u64;
-            Ok(())
-        } else {
-            if !msg.chunks.is_empty() {
-                return Err(WireError::Corrupt(
-                    "chunked message on a JSON-lines connection".into(),
-                ));
-            }
-            self.send_json_line(&msg.json)
-        }
+        let bytes = self.transport.encode(msg).map_err(WireError::Corrupt)?;
+        self.writer.write_all(bytes)?;
+        self.writer.flush()?;
+        self.bytes_sent += bytes.len() as u64;
+        Ok(())
     }
 
     /// Receive one message on the active transport.
     pub fn recv(&mut self) -> Result<Message, WireError> {
-        if self.binary {
-            match self.codec.read(&mut self.reader)? {
-                Some((msg, n)) => {
-                    self.bytes_received += n;
-                    Ok(msg)
-                }
-                None => Err(WireError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed by peer",
-                ))),
+        match self.transport.read(&mut self.reader)? {
+            Some((n, msg)) => {
+                self.bytes_received += n;
+                msg.map_err(WireError::Corrupt)
             }
-        } else {
-            Ok(Message::json(self.recv_json_line()?))
+            None => Err(WireError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed by peer",
+            ))),
         }
     }
 
@@ -704,6 +743,53 @@ impl WireConn {
     pub fn request(&mut self, msg: &Message) -> Result<Message, WireError> {
         self.send(msg)?;
         self.recv()
+    }
+}
+
+/// One-shot client helper: connect, send `request` as one JSON line, read
+/// one response line.
+pub fn request(addr: &str, request: &Json) -> io::Result<Json> {
+    WireConn::connect(addr, None, WirePreference::Json)
+        .and_then(|mut conn| conn.request(&Message::json(request.clone())))
+        .map(|reply| reply.json)
+        .map_err(|e| match e {
+            WireError::Io(e) => e,
+            other => io::Error::new(io::ErrorKind::InvalidData, other),
+        })
+}
+
+/// Read one `\n`-terminated line into `line` (newline kept; the last line
+/// may end at EOF instead) and return its length, 0 at a clean end of
+/// stream. A line longer than `cap` bytes is lost framing: nothing marks
+/// where the next request starts, and a peer that never sends `\n` must
+/// not grow the buffer without bound.
+fn read_line_capped(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+    cap: usize,
+) -> Result<usize, WireError> {
+    line.clear();
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        if buf.is_empty() {
+            return Ok(line.len());
+        }
+        let newline = buf.iter().position(|&b| b == b'\n');
+        let take = newline.map_or(buf.len(), |at| at + 1);
+        if line.len() + take > cap {
+            return Err(WireError::Desync(format!(
+                "line longer than the {cap}-byte cap"
+            )));
+        }
+        line.extend_from_slice(&buf[..take]);
+        reader.consume(take);
+        if newline.is_some() {
+            return Ok(line.len());
+        }
     }
 }
 
@@ -934,6 +1020,46 @@ mod tests {
             let mut reader = std::io::BufReader::new(&garbage[..]);
             let _ = codec.read(&mut reader);
         }
+    }
+
+    #[test]
+    fn line_reader_caps_lines_and_keeps_read_line_semantics() {
+        let mut line = Vec::new();
+        let mut reader = std::io::BufReader::with_capacity(3, &b"ab\n12345678\n0123456789\n"[..]);
+        assert_eq!(read_line_capped(&mut reader, &mut line, 9).unwrap(), 3);
+        assert_eq!(line, b"ab\n");
+        // Exactly at the cap, newline included.
+        assert_eq!(read_line_capped(&mut reader, &mut line, 9).unwrap(), 9);
+        assert_eq!(line, b"12345678\n");
+        match read_line_capped(&mut reader, &mut line, 9) {
+            Err(WireError::Desync(e)) => assert!(e.contains("9-byte cap"), "{e}"),
+            other => panic!("an overlong line must be lost framing, got {other:?}"),
+        }
+        // A final line may end at EOF; then EOF reads as 0.
+        let mut reader = std::io::BufReader::new(&b"tail"[..]);
+        assert_eq!(read_line_capped(&mut reader, &mut line, 9).unwrap(), 4);
+        assert_eq!(line, b"tail");
+        assert_eq!(read_line_capped(&mut reader, &mut line, 9).unwrap(), 0);
+        // A peer that never sends a newline is cut off at the cap.
+        let endless = std::io::repeat(b'[');
+        let mut reader = std::io::BufReader::new(endless);
+        assert!(matches!(
+            read_line_capped(&mut reader, &mut line, 1 << 16),
+            Err(WireError::Desync(_))
+        ));
+        assert!(line.len() <= 1 << 16);
+    }
+
+    #[test]
+    fn index_chunk_count_must_fit_its_bytes() {
+        // Every varint is at least one byte: a count beyond the data is
+        // rejected before it sizes the plane.
+        let err = decode_chunk(TAG_INDEX, u32::MAX as usize, &[0, 0]).unwrap_err();
+        assert!(err.contains("declares"), "{err}");
+        assert_eq!(
+            decode_chunk(TAG_INDEX, 2, &[0, 2]).unwrap(),
+            Chunk::I64(vec![0, 1])
+        );
     }
 
     #[test]
